@@ -7,24 +7,17 @@
 //!   original per-set `Vec<Option<u64>>` + boxed `SetPolicy` layout
 //!   (`l2_flat_probe_hits`/`l2_flat_chase_evicts` vs. the
 //!   `l2_seed_layout_*` baselines, ~2x each);
-//! - the full seed access path, scalar and 4-agent contended
-//!   (`system_access_seed_path*` vs. `local_l2_access*`) — the
-//!   contended pair is the tentpole ≥3x comparison (measured 4.1–4.7x);
+//! - the 4-agent contended noiseless access path
+//!   (`local_l2_access_contended4`);
 //! - batched probes: the allocating wrapper, the caller-buffer batch path
 //!   and an equivalent loop of scalar accesses (`warp_batch_probe_16`,
 //!   `warp_batch_into_16`, `warp_loop_scalar_16`);
 //! - trial fan-out: serial vs. parallel [`TrialRunner`] over identical
 //!   per-trial simulations (`trial_fanout_serial/parallel_8`);
-//! - the engine layer, PR 2's tentpole: engine-overhead microbench
-//!   (256 engine-stepped loads vs. the same loads issued raw:
-//!   `engine_steps_256_loads` / `pr1_engine_steps_256_loads` /
+//! - the engine layer: engine-overhead microbench (256 engine-stepped
+//!   loads vs. the same loads issued raw: `engine_steps_256_loads` /
 //!   `raw_access_256_loads`) and the end-to-end covert channel
-//!   (`covert_transmit_e2e` vs. `covert_transmit_pr1_rung`), where the
-//!   baseline rung is the PR 1 stack faithfully reconstructed in
-//!   [`pr1`]: the allocating op protocol (cloned probe lists, owned
-//!   latency `Vec`s), the O(n) min-scan scheduler, and the one-entry
-//!   TLB (`set_tlb_entries(1)`). Both transmissions are asserted
-//!   bit-identical before timing — the rungs differ in host cost only;
+//!   (`covert_transmit_e2e`);
 //! - the fabric layer, PR 3's tentpole: before timing, a fabric-off
 //!   system must reproduce the golden pre-fabric access-path fingerprint
 //!   bit-for-bit ([`PRE_FABRIC_FINGERPRINT`]); then the per-access cost
@@ -40,7 +33,6 @@
 //!   `monitor_windowed_300k` is timed (`bench_monitor_overhead`).
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
-use gpubox_attacks::covert::{decode_trace, stripe_bits, unstripe_bits, ProbeSample};
 use gpubox_attacks::{
     align_classes, classify_pages, classify_pages_fast, paired_sets, AlignmentConfig,
     ChannelParams, Locality, ScanConfig, SetPair, Thresholds, TrialRunner,
@@ -105,102 +97,11 @@ fn bench_cache_layer(c: &mut Criterion) {
     }
 }
 
-/// The seed's full single-GPU access path, reconstructed end to end: a
-/// `HashMap` page-table walk per access, the per-set `Vec`/`SetPolicy`
-/// cache with div/mod set math, the oracle's *second* set computation,
-/// and the original pressure tracker that builds a fresh `HashSet` per
-/// access. Conservative baseline: HBM backing-store reads and statistics
-/// are omitted (both would only slow it further).
-struct SeedAccessPath {
-    cache: ReferenceCache,
-    table: std::collections::HashMap<u64, u64>,
-    recent: std::collections::VecDeque<(u64, u32)>,
-    latency: gpubox_sim::LatencyModel,
-    rng: ChaCha8Rng,
-    page_size: u64,
-    window: u64,
-}
-
-impl SeedAccessPath {
-    fn new(cfg: &SystemConfig, pages: u64) -> Self {
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let mut table = std::collections::HashMap::new();
-        // Random frame placement, as the driver model does.
-        let mut frames: Vec<u64> = (0..pages * 4).collect();
-        use rand::seq::SliceRandom;
-        frames.shuffle(&mut rng);
-        for vpn in 0..pages {
-            table.insert(vpn, frames[vpn as usize] * cfg.page_size);
-        }
-        SeedAccessPath {
-            cache: ReferenceCache::new(&cfg.cache),
-            table,
-            recent: std::collections::VecDeque::new(),
-            latency: gpubox_sim::LatencyModel::new(cfg.timing.clone()),
-            rng,
-            page_size: cfg.page_size,
-            window: cfg.timing.contention_window,
-        }
-    }
-
-    fn access(&mut self, va: u64, now: u64, agent: u32) -> u32 {
-        // Translate: HashMap lookup per access (the seed had no TLB).
-        let vpn = va / self.page_size;
-        let off = va % self.page_size;
-        let pa = PhysAddr(self.table[&vpn] + off);
-        // Cache lookup (first set computation inside).
-        let hit = self.cache.access(pa, &mut self.rng).is_hit();
-        // Pressure query: the seed built a HashSet every access.
-        let cutoff = now.saturating_sub(self.window);
-        let mut others: std::collections::HashSet<u32> = std::collections::HashSet::new();
-        for &(t, a) in self.recent.iter().rev() {
-            if t < cutoff {
-                break;
-            }
-            if a != agent {
-                others.insert(a);
-            }
-        }
-        let pressure = others.len() as u32;
-        self.recent.push_back((now, agent));
-        while matches!(self.recent.front(), Some(&(t, _)) if t < cutoff) {
-            self.recent.pop_front();
-        }
-        let latency =
-            self.latency
-                .access_latency(gpubox_sim::Route::local(), hit, pressure, &mut self.rng);
-        // Oracle bookkeeping: the seed computed the set a second time.
-        let line = pa.0 / self.cache.line_size();
-        black_box(line % self.cache.num_sets());
-        latency
-    }
-}
-
 fn bench_access_path(c: &mut Criterion) {
-    // Seed-path baseline over the same access pattern as local_l2_access.
-    let cfg = SystemConfig::dgx1();
-    let mut seed_path = SeedAccessPath::new(&cfg, (1 << 20) / cfg.page_size);
-    let mut ts = 0u64;
-    c.bench_function("system_access_seed_path", |b| {
-        b.iter(|| {
-            ts += 300;
-            seed_path.access((ts % 8192) * 128 % (1 << 20), ts, 0)
-        })
-    });
-
     // The contended covert-channel regime: four agents interleave on one
-    // GPU. The seed pays a HashSet build (alloc + hashing) per access;
-    // the flat path scans a four-entry table. Noiseless config so the
-    // comparison isolates data-structure cost, not Box–Muller jitter.
-    let ncfg = SystemConfig::dgx1().noiseless();
-    let mut seed_path_c = SeedAccessPath::new(&ncfg, (1 << 20) / ncfg.page_size);
-    c.bench_function("system_access_seed_path_contended4", |b| {
-        b.iter(|| {
-            ts += 300;
-            seed_path_c.access((ts % 8192) * 128 % (1 << 20), ts, (ts / 300 % 4) as u32)
-        })
-    });
-
+    // GPU. Noiseless config so the rung isolates data-structure cost,
+    // not Box–Muller jitter.
+    let mut ts = 0u64;
     let mut nsys = MultiGpuSystem::new(SystemConfig::dgx1().noiseless());
     let npid = nsys.create_process(GpuId::new(0));
     let nagents = [
@@ -327,253 +228,6 @@ fn bench_trial_fanout(c: &mut Criterion) {
     });
 }
 
-/// Faithful reconstruction of the **PR 1 engine layer** — the baseline
-/// rung for the PR 2 engine benches, kept alive here the same way
-/// [`SeedAccessPath`] preserves the seed's access path:
-///
-/// - `Op::LoadBatch` carries an owned `Vec<VirtAddr>` which agents build
-///   by cloning their line list per probe;
-/// - every `Load`/`Store` result allocates `vec![latency]`, every batch
-///   goes through the allocating [`MultiGpuSystem::access_batch`] wrapper
-///   and moves the latency `Vec` into an owned `OpResult`;
-/// - the next agent is found with an O(n) filtered min-scan per step.
-///
-/// The e2e rung additionally configures the live system with
-/// `set_tlb_entries(1)`, PR 1's one-entry per-process TLB (observable
-/// results are TLB-size-invariant, so the reconstruction stays
-/// bit-identical to the current engine — asserted before timing).
-mod pr1 {
-    use super::*;
-
-    pub enum Pr1Op {
-        Load(VirtAddr),
-        LoadBatch(Vec<VirtAddr>),
-        Compute(u64),
-        Done,
-    }
-
-    pub struct Pr1OpResult {
-        pub started_at: u64,
-        pub duration: u64,
-        pub latencies: Vec<u32>,
-    }
-
-    pub trait Pr1Agent {
-        fn next_op(&mut self, now: u64) -> Pr1Op;
-        fn on_result(&mut self, res: &Pr1OpResult);
-        fn process(&self) -> ProcessId;
-    }
-
-    pub struct Pr1Engine<'a> {
-        sys: &'a mut MultiGpuSystem,
-        slots: Vec<(Box<dyn Pr1Agent>, gpubox_sim::AgentId, u64, bool)>,
-    }
-
-    impl<'a> Pr1Engine<'a> {
-        pub fn new(sys: &'a mut MultiGpuSystem) -> Self {
-            sys.reset_timing_state();
-            Pr1Engine {
-                sys,
-                slots: Vec::new(),
-            }
-        }
-
-        pub fn add_agent(&mut self, agent: Box<dyn Pr1Agent>, start: u64) {
-            let id = self.sys.new_agent();
-            self.slots.push((agent, id, start, false));
-        }
-
-        pub fn run(&mut self, deadline: u64) -> u64 {
-            loop {
-                // PR 1's scheduler: filtered O(n) min-scan every step.
-                let next = self
-                    .slots
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| !s.3)
-                    .min_by_key(|(_, s)| s.2)
-                    .map(|(i, _)| i);
-                let Some(i) = next else { break };
-                if self.slots[i].2 >= deadline {
-                    break;
-                }
-                let now = self.slots[i].2;
-                let op = self.slots[i].0.next_op(now);
-                match op {
-                    Pr1Op::Done => self.slots[i].3 = true,
-                    Pr1Op::Compute(c) => {
-                        let res = Pr1OpResult {
-                            started_at: now,
-                            duration: c,
-                            latencies: Vec::new(),
-                        };
-                        self.slots[i].2 += c;
-                        self.slots[i].0.on_result(&res);
-                    }
-                    Pr1Op::Load(va) => {
-                        let pid = self.slots[i].0.process();
-                        let acc = self.sys.access(pid, self.slots[i].1, va, now, None).unwrap();
-                        let res = Pr1OpResult {
-                            started_at: now,
-                            duration: u64::from(acc.latency),
-                            latencies: vec![acc.latency],
-                        };
-                        self.slots[i].2 += u64::from(acc.latency);
-                        self.slots[i].0.on_result(&res);
-                    }
-                    Pr1Op::LoadBatch(vas) => {
-                        let pid = self.slots[i].0.process();
-                        let b = self
-                            .sys
-                            .access_batch(pid, self.slots[i].1, &vas, now)
-                            .unwrap();
-                        let res = Pr1OpResult {
-                            started_at: now,
-                            duration: b.duration,
-                            latencies: b.latencies,
-                        };
-                        self.slots[i].2 += b.duration;
-                        self.slots[i].0.on_result(&res);
-                    }
-                }
-            }
-            self.slots.iter().map(|s| s.2).max().unwrap_or(0)
-        }
-    }
-
-    /// PR 1 trojan: clones its eviction-set line list for every prime.
-    pub struct Pr1Trojan {
-        pub pid: ProcessId,
-        pub lines: Vec<VirtAddr>,
-        pub frame: Vec<u8>,
-        pub slot_cycles: u64,
-        pub start: Option<u64>,
-        pub prime_estimate: u64,
-        pub bit_idx: usize,
-    }
-
-    impl Pr1Agent for Pr1Trojan {
-        fn next_op(&mut self, now: u64) -> Pr1Op {
-            let start = *self.start.get_or_insert(now);
-            if self.bit_idx >= self.frame.len() {
-                return Pr1Op::Done;
-            }
-            let slot_end = start + (self.bit_idx as u64 + 1) * self.slot_cycles;
-            if now >= slot_end {
-                self.bit_idx += 1;
-                return self.next_op(now);
-            }
-            let remaining = slot_end - now;
-            if self.frame[self.bit_idx] == 1 {
-                if remaining < self.prime_estimate {
-                    Pr1Op::Compute(remaining)
-                } else {
-                    Pr1Op::LoadBatch(self.lines.clone())
-                }
-            } else {
-                Pr1Op::Compute(remaining.min(self.prime_estimate))
-            }
-        }
-
-        fn on_result(&mut self, res: &Pr1OpResult) {
-            if !res.latencies.is_empty() {
-                self.prime_estimate = (self.prime_estimate + res.duration) / 2;
-            }
-        }
-
-        fn process(&self) -> ProcessId {
-            self.pid
-        }
-    }
-
-    /// PR 1 spy: clones its line list per probe, owned-latency results.
-    pub struct Pr1Spy {
-        pub pid: ProcessId,
-        pub lines: Vec<VirtAddr>,
-        pub thresholds: Thresholds,
-        pub stop_after: u64,
-        pub samples: std::rc::Rc<std::cell::RefCell<Vec<ProbeSample>>>,
-    }
-
-    impl Pr1Agent for Pr1Spy {
-        fn next_op(&mut self, now: u64) -> Pr1Op {
-            if now >= self.stop_after {
-                return Pr1Op::Done;
-            }
-            Pr1Op::LoadBatch(self.lines.clone())
-        }
-
-        fn on_result(&mut self, res: &Pr1OpResult) {
-            if res.latencies.is_empty() {
-                return;
-            }
-            let misses = self.thresholds.count_remote_misses(&res.latencies) as u32;
-            let mean = res.latencies.iter().map(|&l| u64::from(l)).sum::<u64>()
-                / res.latencies.len() as u64;
-            self.samples.borrow_mut().push(ProbeSample {
-                at: res.started_at,
-                misses,
-                lines: res.latencies.len() as u32,
-                mean_latency: mean as u32,
-            });
-        }
-
-        fn process(&self) -> ProcessId {
-            self.pid
-        }
-    }
-
-    /// `covert::transmit` re-expressed over the PR 1 engine (same framing,
-    /// agent logic, decode path and spy gap = 0 as the live
-    /// `ChannelParams::default()`).
-    pub fn transmit(
-        sys: &mut MultiGpuSystem,
-        trojan_pid: ProcessId,
-        spy_pid: ProcessId,
-        pairs: &[SetPair],
-        payload: &[u8],
-        params: &ChannelParams,
-        thresholds: Thresholds,
-    ) -> Vec<u8> {
-        let k = pairs.len();
-        let stripes = stripe_bits(payload, k);
-        let max_frame = stripes.iter().map(Vec::len).max().unwrap_or(0) + params.preamble_bits;
-        let listen = (max_frame as u64 + 4) * params.slot_cycles;
-        let mut eng = Pr1Engine::new(sys);
-        let mut traces = Vec::with_capacity(k);
-        for (i, pair) in pairs.iter().enumerate() {
-            let frame = params.frame(&stripes[i]);
-            let trojan = Pr1Trojan {
-                pid: trojan_pid,
-                lines: pair.trojan.lines().to_vec(),
-                frame,
-                slot_cycles: params.slot_cycles,
-                start: None,
-                prime_estimate: 700,
-                bit_idx: 0,
-            };
-            let samples = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-            let spy = Pr1Spy {
-                pid: spy_pid,
-                lines: pair.spy.lines().to_vec(),
-                thresholds,
-                stop_after: listen,
-                samples: std::rc::Rc::clone(&samples),
-            };
-            traces.push(samples);
-            eng.add_agent(Box::new(spy), 0);
-            eng.add_agent(Box::new(trojan), params.slot_cycles / 2 + 37 * i as u64);
-        }
-        eng.run(listen + 16 * params.slot_cycles);
-        let decoded: Vec<Vec<u8>> = traces
-            .iter()
-            .enumerate()
-            .map(|(i, t)| decode_trace(&t.borrow(), params, stripes[i].len()).payload)
-            .collect();
-        unstripe_bits(&decoded, payload.len())
-    }
-}
-
 /// Builds the covert-channel fixture (trojan GPU0, spy GPU1, aligned set
 /// pairs) on a small noiseless box — the same preparation as the
 /// `gpubox_attacks::covert` unit tests, reproducible per seed.
@@ -611,29 +265,11 @@ fn channel_fixture(seed: u64) -> (MultiGpuSystem, ProcessId, ProcessId, Vec<SetP
     (sys, trojan, spy, pairs)
 }
 
-/// End-to-end `covert::transmit` on the zero-alloc engine vs. the
-/// reconstructed PR 1 rung (allocating engine + one-entry TLB).
+/// End-to-end `covert::transmit` on the zero-alloc engine.
 fn bench_covert_e2e(c: &mut Criterion) {
     let payload = gpubox_attacks::covert::bits_from_bytes(b"PR2 rung");
     let params = ChannelParams::default();
     let thr = Thresholds::paper_defaults();
-
-    // Sanity before timing: both rungs must decode identical bits from
-    // identically seeded fixtures — the rungs differ in host cost only.
-    {
-        let (mut sys_new, t, s, pairs) = channel_fixture(1234);
-        let new_rx =
-            gpubox_attacks::transmit(&mut sys_new, t, s, &pairs, &payload, &params, thr)
-                .unwrap()
-                .received;
-        let (mut sys_old, t, s, pairs) = channel_fixture(1234);
-        sys_old.set_tlb_entries(1);
-        let old_rx = pr1::transmit(&mut sys_old, t, s, &pairs, &payload, &params, thr);
-        assert_eq!(
-            new_rx, old_rx,
-            "PR 1 reconstruction must be bit-identical to the live engine"
-        );
-    }
 
     let (mut sys, trojan, spy, pairs) = channel_fixture(77);
     c.bench_function("covert_transmit_e2e", |b| {
@@ -642,12 +278,6 @@ fn bench_covert_e2e(c: &mut Criterion) {
                 .unwrap()
                 .bit_errors
         })
-    });
-
-    let (mut sys, trojan, spy, pairs) = channel_fixture(77);
-    sys.set_tlb_entries(1);
-    c.bench_function("covert_transmit_pr1_rung", |b| {
-        b.iter(|| pr1::transmit(&mut sys, trojan, spy, &pairs, &payload, &params, thr).len())
     });
 }
 
@@ -754,29 +384,9 @@ impl Agent for FixedLoads {
     }
 }
 
-struct Pr1FixedLoads {
-    pid: ProcessId,
-    lines: Vec<VirtAddr>,
-    remaining: usize,
-}
-
-impl pr1::Pr1Agent for Pr1FixedLoads {
-    fn next_op(&mut self, _now: u64) -> pr1::Pr1Op {
-        if self.remaining == 0 {
-            return pr1::Pr1Op::Done;
-        }
-        self.remaining -= 1;
-        pr1::Pr1Op::Load(self.lines[self.remaining % self.lines.len()])
-    }
-    fn on_result(&mut self, _res: &pr1::Pr1OpResult) {}
-    fn process(&self) -> ProcessId {
-        self.pid
-    }
-}
-
 /// Engine-overhead microbench: the same 256 scalar loads stepped through
-/// the zero-alloc engine, the PR 1 engine and issued raw (the floor).
-/// All three share one system/TLB, so the deltas are engine-layer only.
+/// the zero-alloc engine and issued raw (the floor). Both share one
+/// system/TLB, so the delta is engine-layer only.
 fn bench_engine_overhead(c: &mut Criterion) {
     let mut sys = MultiGpuSystem::new(SystemConfig::dgx1().noiseless());
     let pid = sys.create_process(GpuId::new(0));
@@ -795,21 +405,6 @@ fn bench_engine_overhead(c: &mut Criterion) {
                 0,
             );
             eng.run(u64::MAX).unwrap()
-        })
-    });
-
-    c.bench_function("pr1_engine_steps_256_loads", |b| {
-        b.iter(|| {
-            let mut eng = pr1::Pr1Engine::new(&mut sys);
-            eng.add_agent(
-                Box::new(Pr1FixedLoads {
-                    pid,
-                    lines: lines.clone(),
-                    remaining: 256,
-                }),
-                0,
-            );
-            eng.run(u64::MAX)
         })
     });
 

@@ -39,10 +39,14 @@
 //!   completes** (full-duty trojans, default config);
 //! - the responsive arm matches the always-on arm's attack degradation
 //!   (BER >= 25%) at **strictly lower benign cost**;
-//! - detection rows are bit-identical across heap/linear schedulers,
-//!   and the decoded ROC table is byte-identical across `--threads=1`
-//!   and `--threads=4` invocations (diffed in CI, like
+//! - the decoded ROC table is byte-identical across `--threads=1` and
+//!   `--threads=4` invocations (diffed in CI, like
 //!   `ext_fleet_placement`).
+//!
+//! Every scenario runs once, on the default engine. Scheduler and
+//! fan-out invariance are proven where they live: `gpubox-sim`'s
+//! `scheduler_equivalence` tests and the runner's
+//! `parallel_matches_serial_bitwise`.
 //!
 //! Usage: `ext_detection [--threads=N] [--seed=S]`
 
@@ -56,7 +60,7 @@ use gpubox_sim::fleet::TenantId;
 use gpubox_sim::telemetry::MetricSet;
 use gpubox_sim::{
     Agent, Engine, FabricConfig, FleetMonitor, GpuId, Monitor, MonitorConfig, MultiGpuSystem,
-    NoiseAgent, NoiseConfig, QosConfig, QosScope, SchedulerKind, SystemConfig, VirtAddr,
+    NoiseAgent, NoiseConfig, QosConfig, QosScope, SystemConfig, VirtAddr,
 };
 use gpubox_workloads::{agent_for, Histogram, VectorAdd, Workload};
 use rand::{Rng, SeedableRng};
@@ -179,7 +183,7 @@ fn windowed_with_respond(
 }
 
 /// One benign-control run: the 8-tenant mix, no attacker, monitor on.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 struct BenignRun {
     alarms: usize,
     issued_accesses: u64,
@@ -191,14 +195,13 @@ fn run_benign_monitored(
     qos: QosConfig,
     respond: Option<&QosConfig>,
     seed: u64,
-    sched: SchedulerKind,
 ) -> BenignRun {
     let mut sys = MultiGpuSystem::new(shared_config(seed, qos));
     let agents = benign_agents(&mut sys);
     let num_links = sys.config().topology.num_links();
     let num_gpus = sys.config().num_gpus as usize;
     let mut mon = Monitor::new(mon_cfg.clone(), num_links, num_gpus);
-    let mut eng = Engine::with_scheduler(&mut sys, sched);
+    let mut eng = Engine::new(&mut sys);
     for (i, a) in agents.into_iter().enumerate() {
         eng.add_agent(a, 53 * i as u64);
     }
@@ -213,9 +216,8 @@ fn run_benign_monitored(
     }
 }
 
-/// One attack-detection run, comparable bit-for-bit across schedulers
-/// and fan-outs.
-#[derive(Debug, Clone, PartialEq)]
+/// One attack-detection run.
+#[derive(Debug, Clone)]
 struct DetectOutcome {
     alarmed: bool,
     /// Cycles from the trojan launch to the latched alarm.
@@ -262,7 +264,6 @@ fn run_link_detect(
     jitter: u64,
     payload: &[u8],
     seed: u64,
-    sched: SchedulerKind,
 ) -> DetectOutcome {
     let mut sys = MultiGpuSystem::new(shared_config(seed, QosConfig::off()));
     let agents = benign_agents(&mut sys);
@@ -297,7 +298,7 @@ fn run_link_detect(
     let mut mon = Monitor::new(mon_cfg.clone(), num_links, num_gpus);
     let frame = params.frame(payload);
     let listen = ATTACK_START + (frame.len() as u64 + 4) * params.slot_cycles;
-    let mut eng = Engine::with_scheduler(&mut sys, sched);
+    let mut eng = Engine::new(&mut sys);
     for (i, a) in agents.into_iter().enumerate() {
         eng.add_agent(a, 53 * i as u64);
     }
@@ -313,7 +314,6 @@ fn run_l2_detect(
     mon_cfg: &MonitorConfig,
     payload: &[u8],
     seed: u64,
-    sched: SchedulerKind,
 ) -> DetectOutcome {
     let params = ChannelParams::default();
     let mut setup = AttackSetup::prepare_fabric_qos(seed, GpuId::new(0), GpuId::new(5), QosConfig::off());
@@ -332,7 +332,7 @@ fn run_l2_detect(
     let stripes = stripe_bits(payload, pairs.len());
     let max_frame = stripes.iter().map(Vec::len).max().unwrap_or(0) + params.preamble_bits;
     let listen = ATTACK_START + (max_frame as u64 + 4) * params.slot_cycles;
-    let mut eng = Engine::with_scheduler(&mut setup.sys, sched);
+    let mut eng = Engine::new(&mut setup.sys);
     for (i, a) in agents.into_iter().enumerate() {
         eng.add_agent(a, 53 * i as u64);
     }
@@ -346,7 +346,7 @@ fn run_l2_detect(
 }
 
 /// One respond-arm run on the noiseless link channel.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 struct RespondOutcome {
     bit_errors: usize,
     deploy_cycle: Option<u64>,
@@ -360,7 +360,7 @@ enum Arm {
     Responsive,
 }
 
-fn run_link_respond(arm: Arm, payload: &[u8], seed: u64, sched: SchedulerKind) -> RespondOutcome {
+fn run_link_respond(arm: Arm, payload: &[u8], seed: u64) -> RespondOutcome {
     let boot_qos = match arm {
         Arm::AlwaysOn => full_qos(),
         _ => QosConfig::off(),
@@ -395,7 +395,7 @@ fn run_link_respond(arm: Arm, payload: &[u8], seed: u64, sched: SchedulerKind) -
     let mut mon = Monitor::new(MonitorConfig::default(), num_links, num_gpus);
     let frame = params.frame(payload);
     let listen = ATTACK_START + (frame.len() as u64 + 4) * params.slot_cycles;
-    let mut eng = Engine::with_scheduler(&mut sys, sched);
+    let mut eng = Engine::new(&mut sys);
     let trace = medium.install_lane_deferred(&mut eng, 0, &frame, &params, listen, ATTACK_START);
     mon.prime(eng.system().stats());
     let respond_qos = full_qos();
@@ -460,11 +460,11 @@ fn run_fleet_health(payload: &[u8], seed: u64) -> (MetricSet, Vec<(u32, u64)>, u
     let mut fleet = FleetMonitor::new(MonitorConfig::default(), 2, num_links, num_gpus, 8);
     let window = fleet.node(0).config().window_cycles;
 
-    let mut eng0 = Engine::with_scheduler(&mut sys0, SchedulerKind::Heap);
+    let mut eng0 = Engine::new(&mut sys0);
     for (i, a) in agents0.into_iter().enumerate() {
         eng0.add_agent(a, 53 * i as u64);
     }
-    let mut eng1 = Engine::with_scheduler(&mut sys1, SchedulerKind::Heap);
+    let mut eng1 = Engine::new(&mut sys1);
     for (i, a) in agents1.into_iter().enumerate() {
         eng1.add_agent(a, 53 * i as u64);
     }
@@ -543,7 +543,7 @@ fn main() {
     let mut base_accesses = 0u64;
     for (cname, mcfg) in &configs {
         for (i, &s) in benign_seeds.iter().enumerate() {
-            let r = run_benign_monitored(mcfg, QosConfig::off(), None, s, SchedulerKind::Heap);
+            let r = run_benign_monitored(mcfg, QosConfig::off(), None, s);
             if *cname == "default" {
                 assert_eq!(
                     r.alarms, 0,
@@ -551,10 +551,6 @@ fn main() {
                 );
                 if i == 0 {
                     base_accesses = r.issued_accesses;
-                    // Scheduler bit-identity on the representative control.
-                    let lin =
-                        run_benign_monitored(mcfg, QosConfig::off(), None, s, SchedulerKind::Linear);
-                    assert_eq!(r, lin, "benign control diverged across schedulers");
                 }
             }
             rows.push(RocRow {
@@ -573,32 +569,15 @@ fn main() {
 
     // --- link-congestion trojan: detection vs evasion ------------------
     let evasion: Vec<(u32, u64)> = vec![(100, 0), (100, 1500), (60, 0), (60, 1500), (30, 0), (30, 1500)];
-    let fan = |r: TrialRunner| {
-        r.run(evasion.len(), |t| {
-            let (duty, jitter) = evasion[t.index];
-            run_link_detect(
-                &configs[0].1,
-                duty,
-                jitter,
-                &payload,
-                seed,
-                SchedulerKind::Heap,
-            )
-        })
-    };
-    let link_rows = if threads > 1 {
-        fan(TrialRunner::new(seed))
+    let fan = if threads > 1 {
+        TrialRunner::new(seed)
     } else {
-        fan(TrialRunner::serial(seed))
+        TrialRunner::serial(seed)
     };
-    // The full-duty point again: serial fan-out and the linear scheduler
-    // must agree bit-for-bit.
-    let ser = TrialRunner::serial(seed).run(1, |_| {
-        run_link_detect(&configs[0].1, 100, 0, &payload, seed, SchedulerKind::Heap)
+    let link_rows = fan.run(evasion.len(), |t| {
+        let (duty, jitter) = evasion[t.index];
+        run_link_detect(&configs[0].1, duty, jitter, &payload, seed)
     });
-    assert_eq!(ser[0], link_rows[0], "fan-out changed the detection outcome");
-    let lin = run_link_detect(&configs[0].1, 100, 0, &payload, seed, SchedulerKind::Linear);
-    assert_eq!(lin, link_rows[0], "link detection diverged across schedulers");
 
     let link_deadline = (payload.len() + ChannelParams::default().preamble_bits) as u64
         * ChannelParams::default().slot_cycles;
@@ -629,7 +608,7 @@ fn main() {
         });
     }
     // The sensitive config on the stealthiest point.
-    let stealthy = run_link_detect(&configs[1].1, 30, 1500, &payload, seed, SchedulerKind::Heap);
+    let stealthy = run_link_detect(&configs[1].1, 30, 1500, &payload, seed);
     rows.push(RocRow {
         scenario: "link trojan duty=30% jitter=1500".into(),
         config: "sensitive".into(),
@@ -643,7 +622,7 @@ fn main() {
     });
 
     // --- L2 Prime+Probe trojan -----------------------------------------
-    let l2 = run_l2_detect(&configs[0].1, &payload, seed, SchedulerKind::Heap);
+    let l2 = run_l2_detect(&configs[0].1, &payload, seed);
     assert_eq!(l2.pre_attack_alarms, 0, "false alarm before the L2 trojan launched");
     assert!(l2.alarmed, "[gate] L2 trojan went undetected");
     // 64 bits striped over 4 lanes: the payload completes after the
@@ -669,9 +648,9 @@ fn main() {
     });
 
     // --- respond arms: no defence / always-on / detect-then-throttle ---
-    let none = run_link_respond(Arm::NoDefence, &payload, seed, SchedulerKind::Heap);
-    let always = run_link_respond(Arm::AlwaysOn, &payload, seed, SchedulerKind::Heap);
-    let responsive = run_link_respond(Arm::Responsive, &payload, seed, SchedulerKind::Heap);
+    let none = run_link_respond(Arm::NoDefence, &payload, seed);
+    let always = run_link_respond(Arm::AlwaysOn, &payload, seed);
+    let responsive = run_link_respond(Arm::Responsive, &payload, seed);
     let ber = |e: usize| e as f64 / payload.len() as f64;
     assert!(
         ber(none.bit_errors) <= 0.05,
@@ -698,7 +677,6 @@ fn main() {
         full_qos(),
         None,
         benign_seeds[0],
-        SchedulerKind::Heap,
     );
     let responsive_qos = full_qos();
     let responsive_benign = run_benign_monitored(
@@ -706,7 +684,6 @@ fn main() {
         QosConfig::off(),
         Some(&responsive_qos),
         benign_seeds[0],
-        SchedulerKind::Heap,
     );
     assert_eq!(
         responsive_benign.deploy_cycle, None,
@@ -794,8 +771,7 @@ fn main() {
          per-window CUSUM integrates exactly that. Stealth would require\n\
          hiding under co-resident benign load, which placement\n\
          (ext_fleet_placement) is the lever against.\n\
-         Detection rows are bit-identical across schedulers and fan-outs\n\
-         (asserted); CI diffs this table across --threads invocations.",
+         CI diffs this table across --threads invocations.",
         100.0 * cost_responsive,
         100.0 * cost_always
     );

@@ -34,10 +34,10 @@
 //! re-sends them with a growing whole-slot backoff that shifts the
 //! retry stream off the recurring fault window.
 //!
-//! Determinism is asserted as everywhere in this repo: every sweep
-//! point runs on both the heap and the linear scheduler and must be
-//! bit-identical, and the link-family sweep re-runs through a parallel
-//! and a serial [`TrialRunner`] fan-out which must agree bit-for-bit.
+//! Each family's sweep runs once, on the default engine, through one
+//! parallel [`TrialRunner`] fan-out. Scheduler and fan-out invariance
+//! are proven where they live: `gpubox-sim`'s `scheduler_equivalence`
+//! tests and the runner's `parallel_matches_serial_bitwise`.
 //!
 //! CI gates:
 //! - healthy baseline: both pipelines ≤ 5% BER on both families;
@@ -170,13 +170,10 @@ fn hardened_pipeline(policy: BoundaryPolicy) -> Pipeline {
     })
 }
 
-/// One sweep point's outcome, compared bit-for-bit across schedulers
-/// and fan-outs.
-#[derive(Debug, Clone, PartialEq)]
+/// One sweep point's outcome.
+#[derive(Debug, Clone)]
 struct Outcome {
-    naive_received: Vec<u8>,
     naive_errors: usize,
-    hardened_received: Vec<u8>,
     hardened_errors: usize,
     rounds: usize,
     retransmissions: usize,
@@ -201,7 +198,7 @@ fn link_params() -> ChannelParams {
 /// on fresh single-link fabrics (2 GPUs, both attacker processes on
 /// GPU1, buffers homed on GPU0 — every transfer crosses NVLink link 0,
 /// and downing it forces the PCIe root-complex fallback).
-fn run_link(case: &FaultCase, payload: &[u8], seed: u64, sched: SchedulerKind) -> Outcome {
+fn run_link(case: &FaultCase, payload: &[u8], seed: u64) -> Outcome {
     let params = link_params();
     let build = || {
         let cfg = SystemConfig::small_test()
@@ -238,7 +235,7 @@ fn run_link(case: &FaultCase, payload: &[u8], seed: u64, sched: SchedulerKind) -
         payload,
         &params,
         &Pipeline::vote(BoundaryPolicy::Quantile),
-        sched,
+        SchedulerKind::Auto,
     )
     .expect("naive link transmission");
 
@@ -259,14 +256,12 @@ fn run_link(case: &FaultCase, payload: &[u8], seed: u64, sched: SchedulerKind) -
         &params,
         &hardened_pipeline(BoundaryPolicy::Quantile),
         &retry_config(),
-        sched,
+        SchedulerKind::Auto,
     )
     .expect("hardened link transmission");
     let f = *sys.stats().fault();
     Outcome {
-        naive_received: naive.received,
         naive_errors: naive.bit_errors,
-        hardened_received: hardened.received,
         hardened_errors: hardened.bit_errors,
         rounds: hardened.rounds,
         retransmissions: hardened.retransmissions,
@@ -286,7 +281,7 @@ fn run_link(case: &FaultCase, payload: &[u8], seed: u64, sched: SchedulerKind) -
 /// before transmission). The faulted link is (1,5) — the first hop of
 /// the spy's canonical 5-1-0 probe route, so the outage reroutes its
 /// remote probes mid-stream.
-fn run_l2(case: &FaultCase, payload: &[u8], seed: u64, sched: SchedulerKind) -> Outcome {
+fn run_l2(case: &FaultCase, payload: &[u8], seed: u64) -> Outcome {
     let params = ChannelParams::default();
     let link = Topology::dgx1()
         .link_between(GpuId::new(1), GpuId::new(5))
@@ -312,10 +307,10 @@ fn run_l2(case: &FaultCase, payload: &[u8], seed: u64, sched: SchedulerKind) -> 
                 payload,
                 &params,
                 &Pipeline::vote(BoundaryPolicy::TwoMeans),
-                sched,
+                SchedulerKind::Auto,
             )
             .expect("naive L2 transmission");
-            (rep.received, rep.bit_errors, None, *setup.sys.stats().fault())
+            (rep.bit_errors, None, *setup.sys.stats().fault())
         } else {
             let rep = transmit_resilient(
                 &mut setup.sys,
@@ -324,20 +319,18 @@ fn run_l2(case: &FaultCase, payload: &[u8], seed: u64, sched: SchedulerKind) -> 
                 &params,
                 &hardened_pipeline(BoundaryPolicy::TwoMeans),
                 &retry_config(),
-                sched,
+                SchedulerKind::Auto,
             )
             .expect("hardened L2 transmission");
             let f = *setup.sys.stats().fault();
-            (rep.received.clone(), rep.bit_errors, Some(rep), f)
+            (rep.bit_errors, Some(rep), f)
         }
     };
-    let (naive_received, naive_errors, _, _) = run(payload, true);
-    let (hardened_received, hardened_errors, rep, f) = run(payload, false);
+    let (naive_errors, _, _) = run(payload, true);
+    let (hardened_errors, rep, f) = run(payload, false);
     let rep = rep.unwrap();
     Outcome {
-        naive_received,
         naive_errors,
-        hardened_received,
         hardened_errors,
         rounds: rep.rounds,
         retransmissions: rep.retransmissions,
@@ -370,35 +363,13 @@ fn main() {
         "scheduled link faults x {L2, link} family x {naive, MF+ECC+retry} pipeline",
     );
 
-    // --- link family under every fault case, both schedulers ----------
-    let mut link: Vec<Outcome> = Vec::new();
-    for c in &cases {
-        let heap = run_link(c, &payload, seed, SchedulerKind::Heap);
-        let linear = run_link(c, &payload, seed, SchedulerKind::Linear);
-        assert_eq!(heap, linear, "link schedulers diverged under [{}]", c.label);
-        link.push(heap);
-    }
+    let fan = TrialRunner::new(seed);
 
-    // The link sweep again through parallel vs serial fan-out.
-    let fan = |r: TrialRunner| {
-        r.run(cases.len(), |t| {
-            run_link(&cases[t.index], &payload, seed, SchedulerKind::Heap)
-        })
-    };
-    let par = fan(TrialRunner::new(seed));
-    let ser = fan(TrialRunner::serial(seed));
-    assert_eq!(par, ser, "parallel fan-out must be bit-identical to serial");
-    assert_eq!(par, link, "fan-out must reproduce the sweep outcomes");
+    // --- link family under every fault case ----------------------------
+    let link = fan.run(cases.len(), |t| run_link(&cases[t.index], &payload, seed));
 
-    // --- L2 family under every fault case, both schedulers -------------
-    let l2_cases: Vec<&FaultCase> = cases.iter().collect();
-    let mut l2: Vec<Outcome> = Vec::new();
-    for c in &l2_cases {
-        let heap = run_l2(c, &payload, seed, SchedulerKind::Heap);
-        let linear = run_l2(c, &payload, seed, SchedulerKind::Linear);
-        assert_eq!(heap, linear, "L2 schedulers diverged under [{}]", c.label);
-        l2.push(heap);
-    }
+    // --- L2 family under every fault case ------------------------------
+    let l2 = fan.run(cases.len(), |t| run_l2(&cases[t.index], &payload, seed));
 
     // --- gates (collected; asserted after the report prints) -----------
     let ber = |e: usize| e as f64 / payload.len() as f64;
@@ -445,7 +416,7 @@ fn main() {
             );
         }
     }
-    for (c, o) in l2_cases.iter().zip(&l2) {
+    for (c, o) in cases.iter().zip(&l2) {
         gate(
             ber(o.hardened_errors) <= 0.05,
             format!(
@@ -500,7 +471,7 @@ fn main() {
     for (c, o) in cases.iter().zip(&link) {
         row("link", c.label, o);
     }
-    for (c, o) in l2_cases.iter().zip(&l2) {
+    for (c, o) in cases.iter().zip(&l2) {
         row("L2", c.label, o);
     }
 
@@ -517,12 +488,11 @@ fn main() {
         link[gated].resyncs,
     );
     println!(
-        "\nall sweep points are bit-identical across heap/linear schedulers\n\
-         and serial/parallel fan-out (asserted). The naive pipeline does\n\
-         not merely lose the slots inside the fault window: the window's\n\
-         mis-levelled samples (PCIe round-trips once the one-link fabric\n\
-         loses its link) drag its single self-calibrated decision\n\
-         boundary above the healthy congested level, so the whole\n\
+        "\nThe naive pipeline does not merely lose the slots inside the\n\
+         fault window: the window's mis-levelled samples (PCIe\n\
+         round-trips once the one-link fabric loses its link) drag its\n\
+         single self-calibrated decision boundary above the healthy\n\
+         congested level, so the whole\n\
          transmission decodes wrong — a 30%-wide outage costs ~50% BER,\n\
          and even scattered transient stalls cost 20-30%. The hardened\n\
          stack survives every plan three ways, all deterministic:\n\

@@ -11,24 +11,22 @@
 //! CI gates enforced in-process:
 //!   * fleet size >= 256 nodes (the `--quick` flag relaxes this for
 //!     local iteration only);
-//!   * heap and linear node schedulers produce bit-identical exposure
-//!     tables on representative cells;
-//!   * serial and multi-threaded stepping produce bit-identical
-//!     exposure tables on representative cells (CI additionally diffs
-//!     the full decoded table across `--threads=1` and `--threads=N`
-//!     invocations byte-for-byte);
 //!   * the per-node MetricSet fold equals the folded SystemStats
 //!     export on every run (fold == total);
 //!   * placed + queued == arrived on every run (conservation);
 //!   * ChannelAware co-residency < Pack co-residency at equal
 //!     utilization in every (load, fleet-size) cell.
 //!
+//! Thread-count invariance is proven by the `fleet_thread_count_invariant`
+//! proptest; CI also diffs the decoded table written by `--threads=1`
+//! and `--threads=N` invocations byte-for-byte.
+//!
 //! Usage: ext_fleet_placement [--nodes=N] [--threads=K] [--horizon=C] [--quick]
 
 use gpubox_bench::report;
 use gpubox_sim::{
-    ChannelAware, FleetConfig, FleetReport, FleetRunner, FleetScheduler, Pack, PlacementPolicy,
-    RandomPlacement, Spread,
+    ChannelAware, FleetConfig, FleetReport, FleetRunner, Pack, PlacementPolicy, RandomPlacement,
+    Spread,
 };
 
 const SEED: u64 = 2024;
@@ -44,13 +42,7 @@ fn policy(name: &str, tenants: u32) -> Box<dyn PlacementPolicy> {
     }
 }
 
-fn cell_config(
-    nodes: u32,
-    util: f64,
-    horizon: u64,
-    threads: usize,
-    scheduler: FleetScheduler,
-) -> FleetConfig {
+fn cell_config(nodes: u32, util: f64, horizon: u64, threads: usize) -> FleetConfig {
     let mut cfg = FleetConfig::new(nodes, SEED);
     // Widen the job-duration band past the 28.6 KB/s link-channel frame
     // threshold (~414k cycles at the p100 clock) so the slow channel's
@@ -60,20 +52,12 @@ fn cell_config(
     cfg = cfg.with_target_utilization(util);
     cfg.horizon = horizon;
     cfg.threads = threads;
-    cfg.scheduler = scheduler;
     cfg.verify_fold = true;
     cfg
 }
 
-fn run_cell(
-    nodes: u32,
-    util: f64,
-    horizon: u64,
-    threads: usize,
-    scheduler: FleetScheduler,
-    name: &str,
-) -> FleetReport {
-    let cfg = cell_config(nodes, util, horizon, threads, scheduler);
+fn run_cell(nodes: u32, util: f64, horizon: u64, threads: usize, name: &str) -> FleetReport {
+    let cfg = cell_config(nodes, util, horizon, threads);
     let tenants = cfg.arrivals.tenants;
     FleetRunner::new(cfg, policy(name, tenants)).run()
 }
@@ -149,7 +133,7 @@ fn main() {
         for &(load_name, util) in &loads {
             let mut cell: Vec<(&str, FleetReport)> = Vec::new();
             for &p in &POLICIES {
-                let r = run_cell(fleet_nodes, util, horizon, threads, FleetScheduler::Linear, p);
+                let r = run_cell(fleet_nodes, util, horizon, threads, p);
                 // Fold-equals-total and conservation gates on every run.
                 assert_eq!(
                     r.fold_matches_total(),
@@ -226,32 +210,6 @@ fn main() {
         }
     }
 
-    // Bit-identity gates on representative cells: the full-size fleet
-    // at high load, under packing (densest interleavings) and
-    // channel-aware (most placement state).
-    let alt_threads = if threads == 1 { 4 } else { 1 };
-    for &p in &["pack", "channel_aware"] {
-        let base = run_cell(nodes, 0.75, horizon, threads, FleetScheduler::Linear, p);
-        let heap = run_cell(nodes, 0.75, horizon, threads, FleetScheduler::Heap, p);
-        assert_eq!(
-            base.exposure_line("row"),
-            heap.exposure_line("row"),
-            "heap and linear node schedulers diverged ({p})"
-        );
-        assert_eq!(base.metrics, heap.metrics, "scheduler metrics diverged ({p})");
-        let par = run_cell(nodes, 0.75, horizon, alt_threads, FleetScheduler::Linear, p);
-        assert_eq!(
-            base.exposure_line("row"),
-            par.exposure_line("row"),
-            "{threads}-thread and {alt_threads}-thread stepping diverged ({p})"
-        );
-        assert_eq!(base.metrics, par.metrics, "thread-count metrics diverged ({p})");
-    }
-    println!(
-        "bit-identity: heap==linear and {threads}-thread=={alt_threads}-thread on \
-         representative cells (asserted)\n"
-    );
-
     report::table4(
         ("configuration", "util", "coresidency", "windows/l2/link"),
         &display
@@ -266,7 +224,7 @@ fn main() {
     println!(
         "channel-aware placement holds cross-tenant co-residency below packing at\n\
          equal utilization in every cell; the decoded table is identical across\n\
-         schedulers and thread counts (diffed byte-for-byte in CI)."
+         thread counts (diffed byte-for-byte in CI)."
     );
 
     if std::fs::create_dir_all("results").is_ok() {

@@ -23,10 +23,10 @@
 //! receive stack running on both media is precisely what the unified
 //! pipeline buys.
 //!
-//! Determinism is asserted like the PR 3 link sweep: every family runs
-//! on both the heap and the linear scheduler and must be bit-identical,
-//! and the whole comparison re-runs through a parallel and a serial
-//! [`TrialRunner`] fan-out, which must agree bit-for-bit.
+//! Both families run once, on the default engine, through one parallel
+//! [`TrialRunner`] fan-out. Scheduler and fan-out invariance are proven
+//! where they live: `gpubox-sim`'s `scheduler_equivalence` tests and the
+//! runner's `parallel_matches_serial_bitwise`.
 //!
 //! Gate (CI): both families decode the seeded payload at ≤ 5% BER with
 //! their default (vote) decoder.
@@ -83,19 +83,13 @@ impl Family {
     }
 }
 
-/// Everything one family run observes, compared bit-for-bit across
-/// schedulers and across serial/parallel fan-out.
-#[derive(Debug, Clone, PartialEq)]
+/// Everything one family run observes.
+#[derive(Debug, Clone)]
 struct Outcome {
-    vote_received: Vec<u8>,
-    mf_received: Vec<u8>,
     vote_errors: usize,
     mf_errors: usize,
-    listen_cycles: u64,
-    duration_cycles: u64,
     bandwidth_bytes_per_sec: f64,
-    /// Slot-latency percentiles (log2-bucket floors, cycles) — part of
-    /// the bit-for-bit comparison like everything else the run observes.
+    /// Slot-latency percentiles (log2-bucket floors, cycles).
     slot_latency_p50: u64,
     slot_latency_p95: u64,
     slot_latency_p99: u64,
@@ -115,11 +109,11 @@ fn seeded_payload(seed: u64, bits: usize) -> Vec<u8> {
     (0..bits).map(|_| (rng.gen::<u32>() & 1) as u8).collect()
 }
 
-/// Runs one family once under a forced scheduler: transmits with the
-/// medium's default vote pipeline, then re-decodes the same traces with
-/// the matched filter (transport-independent receive stack — no second
-/// transmission needed).
-fn run_family(family: Family, payload: &[u8], seed: u64, sched: SchedulerKind) -> Outcome {
+/// Runs one family once: transmits with the medium's default vote
+/// pipeline, then re-decodes the same traces with the matched filter
+/// (transport-independent receive stack — no second transmission
+/// needed).
+fn run_family(family: Family, payload: &[u8], seed: u64) -> Outcome {
     let params = family.params();
     let policy = family.boundary();
     let pipeline = Pipeline::vote(policy);
@@ -136,7 +130,7 @@ fn run_family(family: Family, payload: &[u8], seed: u64, sched: SchedulerKind) -
                 pairs: &pairs,
                 thresholds: setup.thresholds,
             };
-            transmit_over(&mut setup.sys, &medium, payload, &params, &pipeline, sched)
+            transmit_over(&mut setup.sys, &medium, payload, &params, &pipeline, SchedulerKind::Auto)
                 .expect("L2 transmission")
         }
         Family::LinkCongestion => {
@@ -160,7 +154,7 @@ fn run_family(family: Family, payload: &[u8], seed: u64, sched: SchedulerKind) -
                     trojan_streams: 4,
                 },
             };
-            transmit_over(&mut sys, &medium, payload, &params, &pipeline, sched)
+            transmit_over(&mut sys, &medium, payload, &params, &pipeline, SchedulerKind::Auto)
                 .expect("link transmission")
         }
     };
@@ -172,12 +166,8 @@ fn run_family(family: Family, payload: &[u8], seed: u64, sched: SchedulerKind) -
         redecode_traces(&rep.traces, &params, &Pipeline::matched_filter(policy), payload.len());
     let mf_errors = mf_received.iter().zip(payload).filter(|(a, b)| a != b).count();
     Outcome {
-        vote_received: rep.received,
-        mf_received,
         vote_errors: rep.bit_errors,
         mf_errors,
-        listen_cycles: rep.listen_cycles,
-        duration_cycles: rep.duration_cycles,
         bandwidth_bytes_per_sec: rep.bandwidth_bytes_per_sec,
         slot_latency_p50: rep.slot_latency_p50,
         slot_latency_p95: rep.slot_latency_p95,
@@ -204,31 +194,9 @@ fn main() {
 
     let families = [Family::L2PrimeProbe, Family::LinkCongestion];
 
-    // Every family on both schedulers: interleavings must be bit-identical.
-    let mut outcomes = Vec::new();
-    for f in families {
-        let heap = run_family(f, &payload, seed, SchedulerKind::Heap);
-        let linear = run_family(f, &payload, seed, SchedulerKind::Linear);
-        assert_eq!(
-            heap,
-            linear,
-            "heap and linear schedulers diverged for [{}]",
-            f.label()
-        );
-        outcomes.push(heap);
-    }
-
-    // The whole comparison through parallel vs serial trial fan-out,
-    // like the PR 3 link sweep.
-    let fan = |r: TrialRunner| {
-        r.run(families.len(), |t| {
-            run_family(families[t.index], &payload, seed, SchedulerKind::Heap)
-        })
-    };
-    let par = fan(TrialRunner::new(seed));
-    let ser = fan(TrialRunner::serial(seed));
-    assert_eq!(par, ser, "parallel fan-out must be bit-identical to serial");
-    assert_eq!(par, outcomes, "fan-out must reproduce the sweep outcomes");
+    let outcomes = TrialRunner::new(seed).run(families.len(), |t| {
+        run_family(families[t.index], &payload, seed)
+    });
 
     // Acceptance gate: both families decode within 5% BER on their
     // default (vote) decoder, on the one shared config.
@@ -284,12 +252,11 @@ fn main() {
     println!(
         "\nboth families ran on the identical fabric-enabled configuration\n\
          (timed per-link occupancy, indirect peer routing, full timing\n\
-         noise) with the identical {payload_bits}-bit seeded payload; outcomes are\n\
-         bit-identical across heap/linear schedulers and serial/parallel\n\
-         fan-out (asserted above). The L2 channel stripes bits over four\n\
-         aligned set pairs and wins on raw bandwidth; the congestion\n\
-         channel needs no shared cache set at all — the fabric's link\n\
-         occupancy alone carries it. One medium trait, one pipeline,\n\
-         two physical media: the paper's point, reproduced end to end."
+         noise) with the identical {payload_bits}-bit seeded payload. The L2\n\
+         channel stripes bits over four aligned set pairs and wins on raw\n\
+         bandwidth; the congestion channel needs no shared cache set at\n\
+         all — the fabric's link occupancy alone carries it. One medium\n\
+         trait, one pipeline, two physical media: the paper's point,\n\
+         reproduced end to end."
     );
 }

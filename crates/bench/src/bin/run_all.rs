@@ -11,6 +11,10 @@
 //! are exported as `results/metrics.prom` in Prometheus exposition
 //! format through [`MetricSet::to_prometheus_text`].
 //!
+//! Before launching anything it checks that every listed bin sits
+//! beside `run_all`; if any is missing it names them, prints the build
+//! command and exits non-zero without writing `RESULTS.json`.
+//!
 //! Usage: `cargo run --release -p gpubox-bench --bin run_all [--full]`
 
 use gpubox_bench::report::write_json;
@@ -42,7 +46,7 @@ fn thread_count(pid: u32) -> Option<u64> {
 struct BinResult {
     bin: String,
     /// `pass`, `fail` (ran, nonzero exit — a gate tripped) or
-    /// `unlaunchable` (missing / not built).
+    /// `unlaunchable` (present but could not be spawned).
     status: String,
     /// Exit code when the process ran and reported one.
     exit_code: Option<i32>,
@@ -69,6 +73,14 @@ fn collect_warnings(bin: &str) -> Vec<String> {
     std::fs::read_to_string(warning_path(bin))
         .map(|s| s.lines().map(str::to_string).collect())
         .unwrap_or_default()
+}
+
+/// The bins of `bins` that have no executable in `dir`, in list order.
+fn missing_bins<'a>(dir: &std::path::Path, bins: &[&'a str]) -> Vec<&'a str> {
+    bins.iter()
+        .copied()
+        .filter(|bin| !dir.join(format!("{bin}{}", std::env::consts::EXE_SUFFIX)).is_file())
+        .collect()
 }
 
 #[derive(Debug, Serialize)]
@@ -114,13 +126,23 @@ fn main() {
     }
     let exe = std::env::current_exe().expect("own path");
     let dir = exe.parent().expect("bin dir");
+    let missing = missing_bins(dir, &bins);
+    if !missing.is_empty() {
+        eprintln!(
+            "missing experiment bins beside {}: {}\n\
+             build them first: cargo build --release -p gpubox-bench --bins",
+            dir.display(),
+            missing.join(", ")
+        );
+        std::process::exit(2);
+    }
     let suite_started = Instant::now();
     let mut results: Vec<BinResult> = Vec::with_capacity(bins.len());
     for bin in &bins {
         println!("\n################ {bin} ################");
-        // A binary that cannot even launch (missing, not built) is a
-        // failure of that experiment, not of the whole suite: record it
-        // and keep going so the final report still covers the rest.
+        // A binary that exists but cannot launch is a failure of that
+        // experiment, not of the whole suite: record it and keep going
+        // so the final report still covers the rest.
         let started = Instant::now();
         let _ = std::fs::remove_file(warning_path(bin));
         let (status, exit_code, peak_threads) = match Command::new(dir.join(bin)).spawn() {
@@ -204,5 +226,27 @@ fn main() {
     } else {
         println!("FAILED: {failed:?}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::missing_bins;
+
+    #[test]
+    fn missing_bins_names_only_absent_executables() {
+        let dir = std::env::temp_dir().join(format!("run_all_missing_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let built = format!("fig04_timing_histogram{}", std::env::consts::EXE_SUFFIX);
+        std::fs::write(dir.join(built), b"").unwrap();
+        // A directory of the right name is not an executable.
+        std::fs::create_dir_all(dir.join(format!("fig05_eviction_validation{}", std::env::consts::EXE_SUFFIX)))
+            .unwrap();
+        let got = missing_bins(
+            &dir,
+            &["fig04_timing_histogram", "fig05_eviction_validation", "ext_detection"],
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(got, ["fig05_eviction_validation", "ext_detection"]);
     }
 }

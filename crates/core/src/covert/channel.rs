@@ -163,8 +163,8 @@ pub fn prepare_link_channel<'a>(
 /// heavy tail, not a second tight cluster).
 ///
 /// `sched` forces an engine scheduler; [`SchedulerKind::Auto`] is the
-/// normal choice, and the sweep binaries assert heap and linear produce
-/// bit-identical channels.
+/// normal choice. Every choice yields the same channel (the engine's
+/// scheduler-equivalence tests prove it).
 ///
 /// # Errors
 ///

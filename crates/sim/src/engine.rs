@@ -45,11 +45,14 @@
 //!
 //! Ties on the clock are broken towards the **lowest slot index** (the
 //! order agents were added). Both schedulers encode the tie-break in the
-//! comparison key itself and the engine `debug_assert`s every pick against
-//! the policy, so heap and linear interleavings are bit-identical — a
-//! property test (`tests/scheduler_equivalence.rs`) checks this on
-//! randomized agent mixes. [`Engine::with_scheduler`] forces a choice;
-//! [`Engine::new`] uses [`SchedulerKind::Auto`].
+//! comparison key itself, so heap and linear interleavings are
+//! bit-identical. That equivalence is proven in one place: the engine
+//! `debug_assert`s every pick against the policy, and
+//! `tests/scheduler_equivalence.rs` checks it on randomized agent mixes.
+//! Experiments run [`Engine::new`] ([`SchedulerKind::Auto`]) and do not
+//! re-run their sweeps per scheduler. [`Engine::with_scheduler`] forces a
+//! choice; `ext_multi_tenant_noise` uses it to compare heap and linear
+//! throughput, which backs [`LINEAR_SCHED_MAX_AGENTS`].
 
 use crate::address::VirtAddr;
 use crate::error::SimResult;

@@ -18,8 +18,8 @@
 //! durations are uniform within configured bounds. Every quantity is a
 //! pure function of `(seed, job index)` through counter-indexed
 //! splitmix64 — the QoS-jitter idiom. No system RNG is consumed, so the
-//! stream is bit-identical across placement policies, node schedulers
-//! and thread counts, and job `i` is the same job in every sweep cell.
+//! stream is bit-identical across placement policies and thread
+//! counts, and job `i` is the same job in every sweep cell.
 //!
 //! # Determinism contract
 //!
@@ -34,8 +34,7 @@
 //!    order nodes are stepped in — and the number of worker threads
 //!    stepping them — cannot change any node's observable state.
 //! 4. Within a node, slots are stepped in `(next event time, slot)`
-//!    order; the linear scan and the binary heap implement the same
-//!    total order and are asserted bit-identical.
+//!    order, found by a linear scan over the node's slots (one per GPU).
 //!
 //! `ext_fleet_placement` CI-gates the consequence: `--threads 1` and
 //! `--threads N` emit byte-identical exposure tables.
@@ -73,7 +72,7 @@ pub use monitor::FleetMonitor;
 pub use placement::{
     ChannelAware, Occupancy, Pack, PlacementPolicy, RandomPlacement, SlotAddr, Spread,
 };
-pub use runner::{Exposure, FleetConfig, FleetReport, FleetRunner, FleetScheduler};
+pub use runner::{Exposure, FleetConfig, FleetReport, FleetRunner};
 
 /// Counter-indexed draw: one splitmix64 evaluation keyed by a stream
 /// seed, a role salt and an index. The fleet-wide randomness primitive —

@@ -38,18 +38,6 @@ pub const FRAME_BYTES: f64 = 8.0;
 /// link neighbour).
 const FLEET_BUF_PAGES: u64 = 16;
 
-/// How a node picks the next slot to step: a linear scan over slots or
-/// a binary heap keyed `(next event time, slot)`. Both implement the
-/// same total order and are asserted bit-identical (`Heap` wins once
-/// slots-per-node grows; at DGX scale the scan is competitive).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FleetScheduler {
-    /// O(slots) scan per event.
-    Linear,
-    /// O(log slots) reusable binary min-heap per event.
-    Heap,
-}
-
 /// Everything a fleet run depends on. Two runs with equal configs are
 /// bit-identical regardless of `threads` (see the module determinism
 /// contract) — `threads` deliberately feeds no seed.
@@ -75,8 +63,6 @@ pub struct FleetConfig {
     /// Every `n`-th batch targets the job's remote (link-neighbour)
     /// buffer; 0 disables remote traffic.
     pub remote_every: u32,
-    /// Intra-node slot scheduling discipline.
-    pub scheduler: FleetScheduler,
     /// Worker threads stepping nodes (1 = fully serial).
     pub threads: usize,
     /// Master seed: node seeds, job keys and policy streams derive from
@@ -101,7 +87,6 @@ impl FleetConfig {
             think_min: 1_500,
             think_spread: 2_000,
             remote_every: 4,
-            scheduler: FleetScheduler::Linear,
             threads: 1,
             seed,
             verify_fold: false,
@@ -176,8 +161,6 @@ struct Node {
     addrs: Vec<VirtAddr>,
     /// Latency output scratch, reused every batch.
     lats: Vec<u32>,
-    /// Heap-scheduler scratch, reused every epoch.
-    heap: Vec<(u64, u32)>,
     /// Lifetime batch counter (survives recycling).
     batches: u64,
     /// Lifetime line-access counter (survives recycling).
@@ -188,7 +171,6 @@ struct Node {
 /// so workers never touch the runner).
 #[derive(Clone, Copy)]
 struct StepParams {
-    scheduler: FleetScheduler,
     probe_lines: u32,
     think_min: u64,
     think_spread: u64,
@@ -428,7 +410,6 @@ impl FleetRunner {
                 slots,
                 addrs: Vec::with_capacity(cfg.probe_lines as usize),
                 lats: Vec::with_capacity(cfg.probe_lines as usize),
-                heap: Vec::with_capacity(usize::from(ngpus)),
                 batches: 0,
                 accesses: 0,
             }));
@@ -437,7 +418,6 @@ impl FleetRunner {
         let frame_cycles =
             |rate: f64| -> u64 { (FRAME_BYTES / rate * clock).ceil() as u64 };
         let step = StepParams {
-            scheduler: cfg.scheduler,
             probe_lines: cfg.probe_lines,
             think_min: cfg.think_min,
             think_spread: cfg.think_spread.max(1),
@@ -739,51 +719,25 @@ impl FleetRunner {
     }
 }
 
-/// Steps one node's jobs to `t1` in `(next event time, slot)` order.
+/// Steps one node's jobs to `t1` in `(next event time, slot)` order,
+/// found by a linear scan over the node's slots (one per GPU).
 /// Shared-nothing: touches only this node's state, so step order across
 /// nodes cannot matter.
 fn step_node(node: &mut Node, t1: u64, p: StepParams) {
-    match p.scheduler {
-        FleetScheduler::Linear => loop {
-            let mut best: Option<(u64, u32)> = None;
-            for (i, s) in node.slots.iter().enumerate() {
-                if let Some(j) = &s.job {
-                    if j.next_at < j.ends_at.min(t1) {
-                        let key = (j.next_at, i as u32);
-                        if best.is_none_or(|b| key < b) {
-                            best = Some(key);
-                        }
+    loop {
+        let mut best: Option<(u64, u32)> = None;
+        for (i, s) in node.slots.iter().enumerate() {
+            if let Some(j) = &s.job {
+                if j.next_at < j.ends_at.min(t1) {
+                    let key = (j.next_at, i as u32);
+                    if best.is_none_or(|b| key < b) {
+                        best = Some(key);
                     }
-                }
-            }
-            let Some((_, i)) = best else { break };
-            issue_batch(node, i as usize, p);
-        },
-        FleetScheduler::Heap => {
-            node.heap.clear();
-            for (i, s) in node.slots.iter().enumerate() {
-                if let Some(j) = &s.job {
-                    if j.next_at < j.ends_at.min(t1) {
-                        heap_push(&mut node.heap, (j.next_at, i as u32));
-                    }
-                }
-            }
-            while let Some((_, i)) = heap_pop_min(&mut node.heap) {
-                issue_batch(node, i as usize, p);
-                // Each slot re-enters at most once per pop, so keys in
-                // the heap are always current.
-                let next = {
-                    let j = node.slots[i as usize]
-                        .job
-                        .as_ref()
-                        .expect("job survives the batch");
-                    (j.next_at < j.ends_at.min(t1)).then_some((j.next_at, i))
-                };
-                if let Some(v) = next {
-                    heap_push(&mut node.heap, v);
                 }
             }
         }
+        let Some((_, i)) = best else { break };
+        issue_batch(node, i as usize, p);
     }
 }
 
@@ -822,76 +776,31 @@ fn issue_batch(node: &mut Node, i: usize, p: StepParams) {
     node.accesses += u64::from(p.probe_lines);
 }
 
-/// Min-heap push over `(cycle, slot)` keys into reusable scratch.
-#[inline]
-fn heap_push(h: &mut Vec<(u64, u32)>, v: (u64, u32)) {
-    h.push(v);
-    let mut i = h.len() - 1;
-    while i > 0 {
-        let parent = (i - 1) / 2;
-        if h[parent] <= h[i] {
-            break;
-        }
-        h.swap(parent, i);
-        i = parent;
-    }
-}
-
-/// Min-heap pop; `None` when empty.
-#[inline]
-fn heap_pop_min(h: &mut Vec<(u64, u32)>) -> Option<(u64, u32)> {
-    if h.is_empty() {
-        return None;
-    }
-    let last = h.len() - 1;
-    h.swap(0, last);
-    let out = h.pop();
-    let n = h.len();
-    let mut i = 0;
-    loop {
-        let l = 2 * i + 1;
-        if l >= n {
-            break;
-        }
-        let c = if l + 1 < n && h[l + 1] < h[l] { l + 1 } else { l };
-        if h[i] <= h[c] {
-            break;
-        }
-        h.swap(i, c);
-        i = c;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fleet::placement::{ChannelAware, Pack, RandomPlacement, Spread};
 
-    fn tiny(seed: u64, threads: usize, scheduler: FleetScheduler) -> FleetReport {
+    fn tiny(seed: u64, threads: usize) -> FleetReport {
         let mut cfg = FleetConfig::new(6, seed).with_target_utilization(0.6);
         cfg.horizon = 600_000;
         cfg.threads = threads;
-        cfg.scheduler = scheduler;
         cfg.verify_fold = true;
         FleetRunner::new(cfg, Box::new(Pack)).run()
     }
 
     #[test]
-    fn serial_parallel_and_heap_linear_are_bit_identical() {
-        let base = tiny(5, 1, FleetScheduler::Linear);
-        let par = tiny(5, 4, FleetScheduler::Linear);
-        let heap = tiny(5, 3, FleetScheduler::Heap);
+    fn serial_and_parallel_are_bit_identical() {
+        let base = tiny(5, 1);
+        let par = tiny(5, 4);
         assert!(base.exposure.placed > 0, "workload actually ran");
         assert_eq!(base.metrics, par.metrics, "thread count leaked into results");
-        assert_eq!(base.metrics, heap.metrics, "heap and linear orders differ");
         assert_eq!(base.exposure_line("x"), par.exposure_line("x"));
-        assert_eq!(base.exposure_line("x"), heap.exposure_line("x"));
     }
 
     #[test]
     fn fold_equals_total() {
-        let r = tiny(9, 2, FleetScheduler::Heap);
+        let r = tiny(9, 2);
         assert!(r.exposure.nodes_recycled > 0, "pooling must engage");
         assert_eq!(r.fold_matches_total(), Some(true));
     }
@@ -943,18 +852,5 @@ mod tests {
             ca.exposure.coresident_cycles,
             pack.exposure.coresident_cycles
         );
-    }
-
-    #[test]
-    fn heap_helpers_sort() {
-        let mut h = Vec::new();
-        for v in [5u64, 1, 4, 1, 9, 0, 3] {
-            heap_push(&mut h, (v, v as u32));
-        }
-        let mut out = Vec::new();
-        while let Some((v, _)) = heap_pop_min(&mut h) {
-            out.push(v);
-        }
-        assert_eq!(out, vec![0, 1, 1, 3, 4, 5, 9]);
     }
 }

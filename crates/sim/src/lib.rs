@@ -95,8 +95,8 @@ pub use fabric::{Fabric, FabricConfig};
 pub use fault::{DegradedLink, FaultPlan, LinkDown, TransientStalls};
 pub use fleet::{
     ArrivalConfig, ArrivalStream, ChannelAware, Exposure, FleetConfig, FleetMonitor, FleetReport,
-    FleetRunner, FleetScheduler, JobSpec, Occupancy, Pack, PlacementPolicy, RandomPlacement,
-    SlotAddr, Spread, TenantId,
+    FleetRunner, JobSpec, Occupancy, Pack, PlacementPolicy, RandomPlacement, SlotAddr, Spread,
+    TenantId,
 };
 pub use monitor::{run_windowed, Alarm, ChannelKind, DetectorKind, Monitor, MonitorConfig};
 pub use noise::{NoiseAgent, NoiseConfig};

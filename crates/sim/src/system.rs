@@ -317,14 +317,14 @@ impl MultiGpuSystem {
     /// later) to `entries` slots (a power of two).
     ///
     /// This is a host-side performance knob only: simulated latencies,
-    /// cache state and RNG consumption are bit-identical for every size.
-    /// `1` reproduces the PR 1 one-entry TLB — the benches use it as the
-    /// before-rung when measuring the batched probe paths.
+    /// cache state and RNG consumption are bit-identical for every size
+    /// (`tlb_size_never_changes_observable_results` checks it).
     ///
     /// # Panics
     ///
     /// Panics if `entries` is not a power of two.
-    pub fn set_tlb_entries(&mut self, entries: usize) {
+    #[cfg(test)]
+    pub(crate) fn set_tlb_entries(&mut self, entries: usize) {
         self.tlb_entries = entries;
         for p in &mut self.processes {
             p.tlb = DirectTlb::new(entries, p.home);

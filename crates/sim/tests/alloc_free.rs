@@ -56,9 +56,9 @@
 
 use gpubox_sim::{
     run_windowed, Agent, ChannelAware, Engine, FabricConfig, FaultPlan, FleetConfig, FleetRunner,
-    FleetScheduler, GpuId, Monitor, MonitorConfig, MultiGpuSystem, Op, OpResult, Pack,
-    PlacementPolicy, ProbeStage, ProcessId, QosConfig, RandomPlacement, SchedulerKind,
-    SystemConfig, Topology, VirtAddr,
+    GpuId, Monitor, MonitorConfig, MultiGpuSystem, Op, OpResult, Pack, PlacementPolicy,
+    ProbeStage, ProcessId, QosConfig, RandomPlacement, SchedulerKind, SystemConfig, Topology,
+    VirtAddr,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -253,9 +253,8 @@ fn monitored_steady_state_loop_is_allocation_free() {
 
 #[test]
 fn fleet_steady_state_is_allocation_free_after_pool_warmup() {
-    // Every placement policy and both node schedulers: the policies
-    // differ in index queries and hint state, the schedulers in slot
-    // ordering, but none may allocate once the pool is warm.
+    // Every placement policy: the policies differ in index queries and
+    // hint state, but none may allocate once the pool is warm.
     type PolicyCtor = fn() -> Box<dyn PlacementPolicy>;
     let policies: [(&str, PolicyCtor); 3] = [
         ("pack", || Box::new(Pack)),
@@ -263,14 +262,11 @@ fn fleet_steady_state_is_allocation_free_after_pool_warmup() {
         ("channel_aware", || Box::new(ChannelAware::new(16))),
     ];
     for (label, policy) in policies {
-        for scheduler in [FleetScheduler::Linear, FleetScheduler::Heap] {
-            let allocs = fleet_steady_state_allocs(policy(), scheduler);
-            assert_eq!(
-                allocs, 0,
-                "fleet steady-state loop allocated {allocs} times \
-                 (policy {label}, scheduler {scheduler:?})"
-            );
-        }
+        let allocs = fleet_steady_state_allocs(policy());
+        assert_eq!(
+            allocs, 0,
+            "fleet steady-state loop allocated {allocs} times (policy {label})"
+        );
     }
 }
 
@@ -280,11 +276,10 @@ fn fleet_steady_state_is_allocation_free_after_pool_warmup() {
 /// the counter and runs 4x longer. Serial stepping (`threads = 1`):
 /// parallel mode allocates only its per-epoch scoped worker threads,
 /// which is bounded and outside the claim.
-fn fleet_steady_state_allocs(policy: Box<dyn PlacementPolicy>, scheduler: FleetScheduler) -> u64 {
+fn fleet_steady_state_allocs(policy: Box<dyn PlacementPolicy>) -> u64 {
     // Moderate load so nodes actually drain and recycle: pooling is
     // the path under test, not just slot churn.
     let mut cfg = FleetConfig::new(8, 99).with_target_utilization(0.45);
-    cfg.scheduler = scheduler;
     cfg.horizon = 4_000_000;
     cfg.epoch = 25_000;
     let mut runner = FleetRunner::new(cfg, policy);
