@@ -8,7 +8,9 @@
 //!   (`l2_flat_probe_hits`/`l2_flat_chase_evicts` vs. the
 //!   `l2_seed_layout_*` baselines, ~2x each);
 //! - the 4-agent contended noiseless access path
-//!   (`local_l2_access_contended4`);
+//!   (`local_l2_access_contended4`) and the 8-agent contended noisy warp
+//!   path, which loads the contention-pressure trackers
+//!   (`warp_batch_noisy_contended8`);
 //! - batched probes: the allocating wrapper, the caller-buffer batch path
 //!   and an equivalent loop of scalar accesses (`warp_batch_probe_16`,
 //!   `warp_batch_into_16`, `warp_loop_scalar_16`);
@@ -98,9 +100,10 @@ fn bench_cache_layer(c: &mut Criterion) {
 }
 
 fn bench_access_path(c: &mut Criterion) {
-    // The contended covert-channel regime: four agents interleave on one
-    // GPU. Noiseless config so the rung isolates data-structure cost,
-    // not Box–Muller jitter.
+    // Four agents interleave on one GPU under the noiseless config: the
+    // cache lookup, translation and latency model without jitter, and
+    // without the contention-pressure trackers (noiseless boxes skip
+    // them; `warp_batch_noisy_contended8` below covers them).
     let mut ts = 0u64;
     let mut nsys = MultiGpuSystem::new(SystemConfig::dgx1().noiseless());
     let npid = nsys.create_process(GpuId::new(0));
@@ -122,6 +125,36 @@ fn bench_access_path(c: &mut Criterion) {
                 None,
             )
             .unwrap()
+        })
+    });
+
+    // The contended covert-channel regime on the default noisy config:
+    // eight agents on one GPU each issue 16-line warp batches at the
+    // 24-cycle issue gap, a new batch every 250 cycles, so the home
+    // GPU's 2,000-cycle pressure window holds ~128 arrivals from all
+    // eight agents.
+    let mut csys = MultiGpuSystem::new(SystemConfig::dgx1());
+    let cpid = csys.create_process(GpuId::new(0));
+    let cagents: Vec<_> = std::iter::once(csys.default_agent(cpid))
+        .chain((1..8).map(|_| csys.new_agent()))
+        .collect();
+    let cbuf = csys.malloc_on(cpid, GpuId::new(0), 1 << 20).unwrap();
+    let clines: Vec<Vec<VirtAddr>> = (0..8u64)
+        .map(|a| {
+            (0..16u64)
+                .map(|i| cbuf.offset(a * 4096 + i * 128))
+                .collect()
+        })
+        .collect();
+    let mut clat: Vec<u32> = Vec::with_capacity(16);
+    let mut ct = 0u64;
+    c.bench_function("warp_batch_noisy_contended8", |b| {
+        b.iter(|| {
+            ct += 250;
+            let a = (ct / 250 % 8) as usize;
+            clat.clear();
+            csys.access_batch_into(cpid, cagents[a], &clines[a], ct, &mut clat)
+                .unwrap()
         })
     });
 

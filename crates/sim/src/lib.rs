@@ -75,6 +75,7 @@ pub mod fleet;
 pub mod memory;
 pub mod monitor;
 pub mod noise;
+mod pressure;
 pub mod process;
 pub mod qos;
 pub mod replacement;

@@ -14,6 +14,7 @@ use crate::error::{SimError, SimResult};
 use crate::fabric::Fabric;
 use crate::fault::{build_epochs, FaultEpoch, FaultPlan};
 use crate::memory::Hbm;
+use crate::pressure::PressureTracker;
 use crate::sm::{KernelId, KernelLaunch, SmArray};
 use crate::stats::{LinkStats, SystemStats};
 use crate::telemetry::{TraceKind, TraceSink};
@@ -22,7 +23,7 @@ use crate::topology::{LinkId, LinkKind, Route};
 use crate::vm::{AddressSpace, Mapping};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 
 /// Handle to a process created on the box.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -148,75 +149,6 @@ struct GpuDevice {
     sms: SmArray,
 }
 
-/// Tracks recent accesses per GPU for port-contention pressure.
-///
-/// Same observable semantics as the original implementation (a rear scan
-/// of the window that stops at the first stale entry — exact even when
-/// agent-local clocks make timestamps non-monotonic), but allocation-free
-/// on the hot path: the distinct-agent set is collected into a reusable
-/// scratch buffer instead of a fresh `HashSet` per access.
-#[derive(Debug)]
-struct PressureTracker {
-    recent: VecDeque<(u64, u32)>,
-    /// Scratch for the distinct-agent scan; cleared per query, never
-    /// shrunk, so steady state performs no allocation.
-    scratch: Vec<u32>,
-}
-
-/// Hard bound on the window deque (memory stays bounded even if agent
-/// clocks go backwards between agents).
-const PRESSURE_WINDOW_CAP: usize = 4096;
-
-impl PressureTracker {
-    /// `tracking == true` pre-sizes both buffers to their steady-state
-    /// bounds so the engine's warm loop never grows them: the deque can
-    /// briefly hold one entry past the cap (push happens before the
-    /// trim), and the scratch holds at most one entry per distinct
-    /// concurrent agent. Untracked (noiseless) systems never touch the
-    /// tracker, so they skip the ~64 KiB-per-GPU reservation.
-    fn new(tracking: bool) -> Self {
-        if tracking {
-            PressureTracker {
-                recent: VecDeque::with_capacity(PRESSURE_WINDOW_CAP + 2),
-                scratch: Vec::with_capacity(64),
-            }
-        } else {
-            PressureTracker {
-                recent: VecDeque::new(),
-                scratch: Vec::new(),
-            }
-        }
-    }
-    fn clear(&mut self) {
-        self.recent.clear();
-    }
-
-    fn record(&mut self, now: u64, agent: AgentId, window: u64) {
-        self.recent.push_back((now, agent.0));
-        let cutoff = now.saturating_sub(window);
-        while matches!(self.recent.front(), Some(&(t, _)) if t < cutoff) {
-            self.recent.pop_front();
-        }
-        while self.recent.len() > PRESSURE_WINDOW_CAP {
-            self.recent.pop_front();
-        }
-    }
-
-    fn pressure(&mut self, now: u64, agent: AgentId, window: u64) -> u32 {
-        let cutoff = now.saturating_sub(window);
-        self.scratch.clear();
-        for &(t, a) in self.recent.iter().rev() {
-            if t < cutoff {
-                break;
-            }
-            if a != agent.0 && !self.scratch.contains(&a) {
-                self.scratch.push(a);
-            }
-        }
-        self.scratch.len() as u32
-    }
-}
-
 /// The simulated multi-GPU machine.
 #[derive(Debug)]
 pub struct MultiGpuSystem {
@@ -248,8 +180,7 @@ pub struct MultiGpuSystem {
     /// noiseless configs (`contention_per_actor`, `contention_spike_prob`
     /// and `nvlink_queue_per_req` all zero): pressure then feeds no
     /// latency term, no congestion draw and no statistic, so the window
-    /// trackers are skipped entirely — the scans were the dominant cost
-    /// of the contended noiseless hot path.
+    /// trackers are skipped entirely (and not even built).
     track_pressure: bool,
 }
 
@@ -279,12 +210,10 @@ impl MultiGpuSystem {
         let track_pressure = cfg.timing.contention_per_actor > 0
             || cfg.timing.contention_spike_prob > 0.0
             || cfg.timing.nvlink_queue_per_req > 0;
-        let pressure = (0..cfg.num_gpus)
-            .map(|_| PressureTracker::new(track_pressure))
-            .collect();
-        let remote_pressure = (0..cfg.num_gpus)
-            .map(|_| PressureTracker::new(track_pressure))
-            .collect();
+        // Untracked boxes never index the trackers, so they get none.
+        let trackers = if track_pressure { cfg.num_gpus } else { 0 };
+        let pressure = (0..trackers).map(|_| PressureTracker::default()).collect();
+        let remote_pressure = (0..trackers).map(|_| PressureTracker::default()).collect();
         let congested_until = vec![0u64; cfg.num_gpus as usize];
         let fabric = Fabric::new(&cfg.topology, &cfg.fabric);
         let fault_epochs = if cfg.fabric.enabled {
@@ -886,26 +815,30 @@ impl MultiGpuSystem {
                 let rt = &mut self.remote_pressure[home.index()];
                 let rp = rt.pressure(now, agent, window);
                 rt.record(now, agent, window);
-                latency += self.cfg.timing.nvlink_queue_per_req * rp;
+                latency =
+                    latency.saturating_add(self.cfg.timing.nvlink_queue_per_req.saturating_mul(rp));
             }
             // Bursty congestion episodes: under pressure, an access can
             // tip the home GPU's ports into a congested burst during which
             // every access pays a penalty. Whole-slot corruption of the
             // covert channel (the Fig. 9 error growth) comes from these
-            // episodes.
+            // episodes. Every term saturates, so extreme timing configs
+            // clamp at `u32::MAX` instead of wrapping to hit-like values.
             let t = &self.cfg.timing;
             if now < self.congested_until[home.index()] {
-                latency += t.contention_spike_cycles
-                    + (self.rng.gen::<u32>() % (t.contention_spike_cycles / 2 + 1));
+                let spike = t
+                    .contention_spike_cycles
+                    .saturating_add(self.rng.gen::<u32>() % (t.contention_spike_cycles / 2 + 1));
+                latency = latency.saturating_add(spike);
             } else if pressure > 0
                 && t.contention_spike_prob > 0.0
                 && self
                     .rng
                     .gen_bool((t.contention_spike_prob * f64::from(pressure)).min(1.0))
             {
-                self.congested_until[home.index()] = now + t.congestion_cycles;
+                self.congested_until[home.index()] = now.saturating_add(t.congestion_cycles);
                 self.stats.gpu_mut(home).congestion_episodes += 1;
-                latency += t.contention_spike_cycles;
+                latency = latency.saturating_add(t.contention_spike_cycles);
             }
         }
 

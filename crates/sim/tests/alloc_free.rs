@@ -3,18 +3,25 @@
 //!
 //! A `#[global_allocator]` wrapper counts every `alloc`/`realloc`. The
 //! test warms an engine (first batches size the scratch buffers, first
-//! stores materialise HBM frame backing, pressure windows fill), snapshots
-//! the counter, runs thousands more ops across **every op kind** (`Load`,
-//! `Store`, `Compute`, `LoadBatch`) on **both schedulers**, and asserts
-//! the counter did not move.
+//! stores materialise HBM frame backing), snapshots the counter, runs
+//! thousands more ops across **every op kind** (`Load`, `Store`,
+//! `Compute`, `LoadBatch`) on **both schedulers**, and asserts the counter
+//! did not move. These scenarios use noiseless timing, which skips the
+//! contention-pressure trackers entirely.
 //!
-//! A second scenario set proves the same for the **timed link fabric**:
+//! A second scenario runs the same loop on the **default noisy timing**
+//! (jitter, contention pressure, congestion episodes, the scalar NVLink
+//! queue term) with local and remote issuers, so both the home GPU's
+//! pressure tracker and its NVLink tracker are live: their windows grow
+//! to steady state during warm-up and are reused, never reallocated.
+//!
+//! A third scenario set proves the same for the **timed link fabric**:
 //! remote single-hop, multi-hop (3-GPU line topology) and PCIe-fallback
 //! (a disconnected fourth GPU) accesses with `FabricConfig::nvlink_v1()`
 //! enabled — route lookups are precomputed slices and link occupancy is a
 //! fixed array, so the fabric adds zero steady-state allocations.
 //!
-//! A third set proves it for the **QoS / defence layer** with each
+//! A fourth set proves it for the **QoS / defence layer** with each
 //! mechanism enabled in turn — token-bucket rate limiting, epoch
 //! pacing, seeded grant jitter, and valiant routing: buckets are
 //! preallocated per process at `create_process` time, the shaping and
@@ -22,7 +29,7 @@
 //! state growth), and valiant detours reuse the topology's precomputed
 //! path slices.
 //!
-//! A fourth set proves it for the **fault-injection layer** with an
+//! A fifth set proves it for the **fault-injection layer** with an
 //! active `FaultPlan` (always-on transient stalls plus a degraded
 //! window and a link outage both scheduled *inside* the measured run):
 //! fault epochs and their rerouted topologies are precomputed when the
@@ -31,14 +38,14 @@
 //! — so even while the outage is forcing PCIe fallbacks and reroutes,
 //! the steady-state loop allocates nothing.
 //!
-//! A fifth set proves it for the **event tracer** running on top of the
+//! A sixth set proves it for the **event tracer** running on top of the
 //! full fault + QoS stack: the ring buffer is allocated once at
 //! `enable_tracing` time, and the record path is a branch plus a masked
 //! store that silently overwrites the oldest record when the ring wraps
 //! — so even at maximum event rate (every hop, stall, reroute and
 //! engine op recorded) the measured window allocates nothing.
 //!
-//! A sixth set proves it for the **fleet layer**: after pool warm-up
+//! A seventh set proves it for the **fleet layer**: after pool warm-up
 //! (node buffers pre-allocated at boot, front-end queues and scratch
 //! pre-sized, first recycle generation folded), the whole serial fleet
 //! loop — Poisson/Zipf arrival draws, O(log n) placement decisions,
@@ -143,7 +150,7 @@ fn engine_steady_state_loop_is_allocation_free() {
         // Auto resolves to the heap above LINEAR_SCHED_MAX_AGENTS.
         (SchedulerKind::Auto, 6),
     ] {
-        let allocs = steady_state_allocs(kind, agents);
+        let allocs = steady_state_allocs(SystemConfig::small_test().noiseless(), kind, agents);
         assert_eq!(
             allocs, 0,
             "engine steady-state loop allocated {allocs} times \
@@ -153,6 +160,18 @@ fn engine_steady_state_loop_is_allocation_free() {
         assert_eq!(
             allocs, 0,
             "fabric-enabled steady-state loop allocated {allocs} times \
+             (scheduler {kind:?}, {agents} agents)"
+        );
+    }
+}
+
+#[test]
+fn noisy_steady_state_loop_is_allocation_free() {
+    for (kind, agents) in [(SchedulerKind::Linear, 4), (SchedulerKind::Heap, 8)] {
+        let allocs = steady_state_allocs(SystemConfig::small_test(), kind, agents);
+        assert_eq!(
+            allocs, 0,
+            "noisy steady-state loop allocated {allocs} times \
              (scheduler {kind:?}, {agents} agents)"
         );
     }
@@ -300,12 +319,13 @@ fn fleet_steady_state_allocs(policy: Box<dyn PlacementPolicy>) -> u64 {
     allocs
 }
 
-/// Runs `agents` concurrent [`AllKindsAgent`]s under `kind`: warm-up run
-/// (sizes every scratch buffer, materialises store-backing HBM frames,
-/// fills pressure windows, builds the heap), snapshot, measured run.
-/// Returns the allocation count of the measured run.
-fn steady_state_allocs(kind: SchedulerKind, agents: usize) -> u64 {
-    let mut sys = MultiGpuSystem::new(SystemConfig::small_test().noiseless());
+/// Runs `agents` concurrent [`AllKindsAgent`]s on a box booted from `cfg`
+/// under `kind`: warm-up run (sizes every scratch buffer, materialises
+/// store-backing HBM frames, fills pressure windows when `cfg` is noisy,
+/// builds the heap), snapshot, measured run. Returns the allocation
+/// count of the measured run.
+fn steady_state_allocs(cfg: SystemConfig, kind: SchedulerKind, agents: usize) -> u64 {
+    let mut sys = MultiGpuSystem::new(cfg);
     let p0 = sys.create_process(GpuId::new(0));
     let p1 = sys.create_process(GpuId::new(1));
     sys.enable_peer_access(p1, GpuId::new(0)).unwrap();

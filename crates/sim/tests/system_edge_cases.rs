@@ -163,3 +163,66 @@ fn store_then_load_through_the_timed_path_is_coherent() {
     assert!(acc.oracle.hit, "write-allocate: the store cached the line");
     let _ = writer;
 }
+
+/// A noiseless small box with extreme contention terms switched on.
+fn extreme_timing_box(configure: impl FnOnce(&mut SystemConfig)) -> MultiGpuSystem {
+    let mut cfg = SystemConfig::small_test().noiseless();
+    configure(&mut cfg);
+    MultiGpuSystem::new(cfg)
+}
+
+#[test]
+fn extreme_nvlink_queue_saturates_instead_of_wrapping() {
+    // Three concurrent remote requesters ahead of the fourth: a queue
+    // term of 3 × (u32::MAX / 2) does not fit a u32.
+    let mut sys = extreme_timing_box(|cfg| cfg.timing.nvlink_queue_per_req = u32::MAX / 2);
+    let spy = sys.create_process(GpuId::new(1));
+    sys.enable_peer_access(spy, GpuId::new(0)).unwrap();
+    let buf = sys.malloc_on(spy, GpuId::new(0), 4096).unwrap();
+    let agents = [
+        sys.default_agent(spy),
+        sys.new_agent(),
+        sys.new_agent(),
+        sys.new_agent(),
+    ];
+    let latencies: Vec<u32> = agents
+        .iter()
+        .enumerate()
+        .map(|(i, &a)| {
+            sys.access(spy, a, buf, 10 * i as u64, None)
+                .unwrap()
+                .latency
+        })
+        .collect();
+    // Cold miss, then hits queued behind 1, 2 and 3 requesters.
+    let hit = sys.config().timing.expected_hit(1);
+    assert_eq!(latencies[0], sys.config().timing.expected_miss(1));
+    assert_eq!(latencies[1], hit + u32::MAX / 2);
+    assert_eq!(latencies[2], u32::MAX, "2 × (u32::MAX / 2) + hit saturates");
+    assert_eq!(latencies[3], u32::MAX, "3 × (u32::MAX / 2) saturates");
+}
+
+#[test]
+fn extreme_congestion_spikes_saturate_instead_of_wrapping() {
+    // Every pressured access starts an episode that never ends, and each
+    // spike alone nearly fills a u32.
+    let mut sys = extreme_timing_box(|cfg| {
+        cfg.timing.contention_spike_prob = 1.0;
+        cfg.timing.contention_spike_cycles = u32::MAX - 7;
+        cfg.timing.congestion_cycles = u64::MAX;
+    });
+    let p = sys.create_process(GpuId::new(0));
+    let buf = sys.malloc_on(p, GpuId::new(0), 4096).unwrap();
+    let (a, b) = (sys.default_agent(p), sys.new_agent());
+    // Alone on the GPU: no pressure, no episode.
+    let first = sys.access(p, a, buf, 0, None).unwrap();
+    assert_eq!(first.latency, sys.config().timing.expected_miss(0));
+    // A second agent sees pressure 1: the episode-opening spike saturates.
+    let opening = sys.access(p, b, buf, 100, None).unwrap();
+    assert_eq!(opening.latency, u32::MAX);
+    // Inside the (never-ending) episode: spike plus random extra saturates.
+    for t in [200, 1 << 40, u64::MAX - 1] {
+        assert_eq!(sys.access(p, a, buf, t, None).unwrap().latency, u32::MAX);
+    }
+    assert_eq!(sys.stats().gpu(GpuId::new(0)).congestion_episodes, 1);
+}
