@@ -473,7 +473,13 @@ fn bench_engine_overhead(c: &mut Criterion) {
 /// (256 B for a 2-hop access where PR 2 recorded 128 B). Timing is
 /// gated bit-for-bit on every route; byte accounting is gated only
 /// where it was unchanged (1-hop).
-const PRE_FABRIC_FINGERPRINT: u64 = 0x81b7_358b_d9c3_fd1a;
+///
+/// The probe is jittered (seed-99 DGX-1 with noise), so this is a golden
+/// of the noisy path, not a noiseless one. Re-pinned
+/// 0x81b7_358b_d9c3_fd1a → 0x0adb_d479_8e30_f5fd when noise draws became
+/// counter-indexed (per-GPU coordinate streams and an exact integer
+/// jitter table); from there on it pins that noisy fabric-off path.
+const PRE_FABRIC_FINGERPRINT: u64 = 0x0adb_d479_8e30_f5fd;
 
 /// Replays the pre-fabric probe on today's simulator (fabric off).
 fn fabric_off_fingerprint() -> u64 {

@@ -283,17 +283,20 @@ fn main() {
     // for the default seed, captured at the PR 3 HEAD (commit af72b35)
     // before the channel moved onto the unified pipeline. The first
     // eight points are exactly the PR 3 sweep.
+    // Re-pinned once when noise draws became counter-indexed: only the
+    // noisy 4- and 8-tenant points moved, [.., 2, 1] → [.., 0, 2] at
+    // both payload sizes.
     if seed == 0x11F0 {
         let golden: Option<[usize; 8]> = match payload_bits {
-            64 => Some([28, 18, 1, 0, 0, 0, 2, 1]),
-            32 => Some([17, 11, 0, 0, 0, 0, 2, 1]),
+            64 => Some([28, 18, 1, 0, 0, 0, 0, 2]),
+            32 => Some([17, 11, 0, 0, 0, 0, 0, 2]),
             _ => None,
         };
         if let Some(golden) = golden {
             let got: Vec<usize> = outcomes.iter().take(8).map(|o| o.bit_errors).collect();
             assert_eq!(
                 got, golden,
-                "vote-decoded error counts diverged from the PR 3 golden"
+                "vote-decoded error counts diverged from the golden"
             );
         }
     }

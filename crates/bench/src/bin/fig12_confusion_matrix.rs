@@ -9,7 +9,9 @@
 //!
 //! Capture fans out over `shards` independent spy setups via
 //! [`TrialRunner`]; the dataset depends on the shard count (each shard is
-//! its own machine) but not on how many threads execute the shards.
+//! its own machine) but not on how many threads execute the shards. The
+//! default is the constant [`DEFAULT_SHARDS`], so the default run's
+//! dataset is the same on every host.
 
 use gpubox_attacks::side::{record_memorygram, FingerprintDataset, RecorderConfig};
 use gpubox_attacks::TrialRunner;
@@ -19,6 +21,10 @@ use gpubox_sim::GpuId;
 use gpubox_workloads::{
     BlackScholes, Histogram, MatMul, QuasiRandom, VectorAdd, WalshTransform, Workload,
 };
+
+/// Default shard count: a constant, not the host's parallelism, because
+/// the dataset depends on it.
+const DEFAULT_SHARDS: usize = 4;
 
 fn workload(class: usize, seed: u64) -> Box<dyn Workload> {
     match class {
@@ -53,12 +59,10 @@ fn capture(setup: &mut SideChannelSetup, class: usize, seed: u64) -> Memorygram 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let per_class: usize = args.get(1).and_then(|a| a.parse().ok()).unwrap_or(40);
-    let shards: usize = args.get(2).and_then(|a| a.parse().ok()).unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(16)
-    });
+    let shards: usize = args
+        .get(2)
+        .and_then(|a| a.parse().ok())
+        .unwrap_or(DEFAULT_SHARDS);
     report::header(
         "Fig. 12 — fingerprinting confusion matrix",
         "Sec. V-A: 99.91% accuracy over 6 applications",

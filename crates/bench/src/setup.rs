@@ -126,8 +126,9 @@ impl AttackSetup {
     /// equivalence tests, need a guaranteed derivation).
     ///
     /// Both paths run the cheap timing reverse engineering live (its
-    /// ~200 accesses also keep the RNG stream and frame pool identical
-    /// between hit and miss runs), allocate both attack buffers, and end
+    /// ~200 accesses leave the frame-placement RNG untouched, so the
+    /// frame pool is identical between hit and miss runs), allocate both
+    /// attack buffers, and end
     /// with [`MultiGpuSystem::canonicalize_phase`] — so a cache hit is
     /// bit-identical to a derivation for everything that follows.
     ///

@@ -3,8 +3,9 @@
 //! Support crate for the side-channel attacks of *"Spy in the GPU-box"*
 //! (ISCA 2023): the [`Memorygram`] type recorded by the spy, image-style
 //! feature extraction, a multinomial [`LogisticClassifier`] (the paper
-//! uses a DNN image classifier; softmax regression reaches the same ~100%
-//! on these patterns), a [`KnnClassifier`] baseline, and evaluation
+//! uses a DNN image classifier; softmax regression over standardized
+//! features reaches 100% on the Fig. 12 dataset), a [`KnnClassifier`]
+//! baseline, and evaluation
 //! utilities (stratified splits, accuracy, the Fig. 12 confusion matrix).
 //!
 //! ```

@@ -1,8 +1,25 @@
 //! Multinomial logistic regression trained with mini-batch SGD.
 //!
-//! The paper trains a deep image classifier on memorygrams; the patterns
-//! are separable enough that a from-scratch softmax regression reaches the
-//! same ~100% accuracy, keeping this reproduction dependency-free.
+//! The paper trains a deep image classifier on memorygrams (99.91% test
+//! accuracy); this reproduction uses a from-scratch softmax regression to
+//! stay dependency-free. On the Fig. 12 dataset it reaches 100% test
+//! accuracy, matching the k-NN baseline.
+//!
+//! # Feature scaling
+//!
+//! Memorygram features differ in scale by orders of magnitude (a hot set
+//! misses on every sweep, a cold one never), and plain SGD at one
+//! learning rate is then dominated by the largest features. The model
+//! therefore standardizes inside itself: [`LogisticClassifier::train`]
+//! fits a per-feature mean `m_j` and scale `1/√(v_j + v̄)` on the
+//! training data, `v_j` the feature's variance and `v̄` the mean variance
+//! over all features, and every prediction applies them. The `v̄` term
+//! shrinks the scale of near-constant features: with few training
+//! samples per class many variances are close to zero, and plain
+//! z-scoring would blow their sampling noise up to unit scale. The
+//! shrinkage suits wide feature vectors such as memorygrams; with only a
+//! handful of features, one dominant variance inflates `v̄` and flattens
+//! the others.
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -41,7 +58,11 @@ impl Default for TrainConfig {
 pub struct LogisticClassifier {
     classes: usize,
     features: usize,
-    /// Row-major `[classes × features]`.
+    /// Per-feature training mean, subtracted before the linear layer.
+    mean: Vec<f32>,
+    /// Per-feature scale `1/√(v_j + v̄)` (see the module doc).
+    scale: Vec<f32>,
+    /// Row-major `[classes × features]`, over standardized features.
     weights: Vec<f32>,
     bias: Vec<f32>,
 }
@@ -61,18 +82,25 @@ impl LogisticClassifier {
             "ragged features"
         );
         assert!(data.iter().all(|(_, y)| *y < classes), "label out of range");
+        let (mean, scale) = fit_scaling(data, features);
         let mut model = LogisticClassifier {
             classes,
             features,
+            mean,
+            scale,
             weights: vec![0.0; classes * features],
             bias: vec![0.0; classes],
         };
+        let data: Vec<(Vec<f32>, usize)> = data
+            .iter()
+            .map(|(x, y)| (model.standardize(x), *y))
+            .collect();
         let mut order: Vec<usize> = (0..data.len()).collect();
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
         for _ in 0..cfg.epochs {
             order.shuffle(&mut rng);
             for chunk in order.chunks(cfg.batch) {
-                model.sgd_step(data, chunk, cfg);
+                model.sgd_step(&data, chunk, cfg);
             }
         }
         model
@@ -83,7 +111,7 @@ impl LogisticClassifier {
         let mut grad_b = vec![0.0f32; self.bias.len()];
         for &i in idxs {
             let (x, y) = &data[i];
-            let p = self.probabilities(x);
+            let p = self.probabilities_standardized(x);
             for c in 0..self.classes {
                 let err = p[c] - f32::from(c == *y);
                 grad_b[c] += err;
@@ -109,6 +137,19 @@ impl LogisticClassifier {
     /// Panics if `x.len()` differs from the training feature length.
     pub fn probabilities(&self, x: &[f32]) -> Vec<f32> {
         assert_eq!(x.len(), self.features, "feature length mismatch");
+        self.probabilities_standardized(&self.standardize(x))
+    }
+
+    /// Applies the training split's per-feature mean and scale.
+    fn standardize(&self, x: &[f32]) -> Vec<f32> {
+        x.iter()
+            .zip(self.mean.iter().zip(&self.scale))
+            .map(|(&xi, (&m, &s))| (xi - m) * s)
+            .collect()
+    }
+
+    /// Class probabilities for an already standardized feature vector.
+    fn probabilities_standardized(&self, x: &[f32]) -> Vec<f32> {
         let mut logits = vec![0.0f32; self.classes];
         for (c, logit) in logits.iter_mut().enumerate() {
             let row = &self.weights[c * self.features..(c + 1) * self.features];
@@ -139,6 +180,41 @@ impl LogisticClassifier {
     pub fn num_features(&self) -> usize {
         self.features
     }
+}
+
+/// Per-feature mean and shrunk inverse standard deviation
+/// `1/√(v_j + v̄)` of the training data (f64 accumulation). A data set
+/// whose every feature is constant gets unit scales.
+fn fit_scaling(data: &[(Vec<f32>, usize)], features: usize) -> (Vec<f32>, Vec<f32>) {
+    let n = data.len() as f64;
+    let mut mean = vec![0.0f64; features];
+    for (x, _) in data {
+        for (m, &xi) in mean.iter_mut().zip(x) {
+            *m += f64::from(xi);
+        }
+    }
+    mean.iter_mut().for_each(|m| *m /= n);
+    let mut var = vec![0.0f64; features];
+    for (x, _) in data {
+        for ((v, &m), &xi) in var.iter_mut().zip(&mean).zip(x) {
+            let d = f64::from(xi) - m;
+            *v += d * d;
+        }
+    }
+    var.iter_mut().for_each(|v| *v /= n);
+    let shrink = var.iter().sum::<f64>() / features.max(1) as f64;
+    let scale = var
+        .iter()
+        .map(|&v| {
+            if v + shrink > 0.0 {
+                1.0 / (v + shrink).sqrt()
+            } else {
+                1.0
+            }
+        })
+        .map(|s| s as f32)
+        .collect();
+    (mean.into_iter().map(|m| m as f32).collect(), scale)
 }
 
 #[cfg(test)]
@@ -174,6 +250,46 @@ mod tests {
         let model = LogisticClassifier::train(&train, 3, &TrainConfig::default());
         let correct = test.iter().filter(|(x, y)| model.predict(x) == *y).count();
         assert_eq!(correct, test.len(), "blobs must classify perfectly");
+    }
+
+    #[test]
+    fn one_feature_scaled_100x_still_classifies() {
+        // Memorygram-shaped data: the three blobs plus 60 near-constant
+        // features (quiet cache sets), with one informative feature blown
+        // up 100x. Unscaled SGD at the default learning rate is then
+        // dominated by that feature and misclassifies about half the
+        // test set; the in-model scaling makes the fit scale-free.
+        let shape = |data: Vec<(Vec<f32>, usize)>, seed: u64| {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            data.into_iter()
+                .map(|(mut x, y)| {
+                    x[1] *= 100.0;
+                    x.extend((0..60).map(|_| rng.gen_range(-0.01f32..0.01)));
+                    (x, y)
+                })
+                .collect::<Vec<_>>()
+        };
+        let train = shape(blob_data(60, 1), 5);
+        let test = shape(blob_data(40, 2), 7);
+        let model = LogisticClassifier::train(&train, 3, &TrainConfig::default());
+        let correct = test.iter().filter(|(x, y)| model.predict(x) == *y).count();
+        assert_eq!(correct, test.len(), "scaled blobs must classify perfectly");
+    }
+
+    #[test]
+    fn constant_features_are_harmless() {
+        let train: Vec<(Vec<f32>, usize)> = blob_data(20, 5)
+            .into_iter()
+            .map(|(mut x, y)| {
+                x.push(3.0);
+                (x, y)
+            })
+            .collect();
+        let model = LogisticClassifier::train(&train, 3, &TrainConfig::default());
+        assert!(model
+            .probabilities(&train[0].0)
+            .iter()
+            .all(|p| p.is_finite()));
     }
 
     #[test]

@@ -389,7 +389,7 @@ impl FaultState {
             // draw instead of deterministically re-hitting the stalls
             // that killed the first attempt.
             let window = (arr >> 9).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let draw = crate::qos::splitmix64(s.seed ^ self.stall_counter ^ window) % 1024;
+            let draw = crate::draw::splitmix64(s.seed ^ self.stall_counter ^ window) % 1024;
             self.stall_counter += 1;
             if draw < s.per_1024 {
                 fs.transient_stalls += 1;

@@ -3,11 +3,7 @@
 //! durations, all counter-indexed (see the module doc's determinism
 //! contract).
 
-use super::indexed_draw;
-
-const SALT_INTERARRIVAL: u64 = 0xA1;
-const SALT_TENANT: u64 = 0xA2;
-const SALT_DURATION: u64 = 0xA3;
+use crate::draw::{indexed_draw, SALT_DURATION, SALT_INTERARRIVAL, SALT_TENANT};
 
 /// Exponential tails are unbounded; clamp an inter-arrival draw to this
 /// many means so one astronomically unlucky draw cannot stall the whole

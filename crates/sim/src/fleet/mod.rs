@@ -73,14 +73,3 @@ pub use placement::{
     ChannelAware, Occupancy, Pack, PlacementPolicy, RandomPlacement, SlotAddr, Spread,
 };
 pub use runner::{Exposure, FleetConfig, FleetReport, FleetRunner};
-
-/// Counter-indexed draw: one splitmix64 evaluation keyed by a stream
-/// seed, a role salt and an index. The fleet-wide randomness primitive —
-/// stateless, so every draw is reproducible from its coordinates alone.
-#[inline]
-pub(crate) fn indexed_draw(seed: u64, salt: u64, index: u64) -> u64 {
-    crate::qos::splitmix64(
-        seed ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            ^ index.wrapping_mul(0xd134_2543_de82_ef95),
-    )
-}

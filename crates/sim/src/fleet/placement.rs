@@ -12,10 +12,8 @@
 //! counting-allocator test relies on.
 
 use super::arrivals::{JobSpec, TenantId};
-use super::indexed_draw;
+use crate::draw::{indexed_draw, SALT_PLACEMENT};
 use crate::topology::Topology;
-
-const SALT_PLACEMENT: u64 = 0xB1;
 
 /// A concrete placement target: GPU slot `slot` of fleet node `node`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

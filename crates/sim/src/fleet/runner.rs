@@ -11,17 +11,14 @@ use std::sync::Mutex;
 use serde::Serialize;
 
 use super::arrivals::{ArrivalConfig, ArrivalStream, JobSpec};
-use super::indexed_draw;
 use super::placement::{JobTag, Occupancy, PlacementPolicy, SlotAddr};
 use crate::address::{GpuId, VirtAddr};
 use crate::config::SystemConfig;
+use crate::draw::{indexed_draw, SALT_JOB, SALT_NODE};
 use crate::stats::SystemStats;
 use crate::system::{AgentId, MultiGpuSystem, ProcessId};
 use crate::telemetry::{LogHistogram, MetricSet};
 use crate::topology::Topology;
-
-const SALT_NODE: u64 = 0xC1;
-const SALT_JOB: u64 = 0xC2;
 
 /// Measured L2 Prime+Probe covert-channel goodput (`ext_two_hop_channel`,
 /// Table 4 reproduction) used to convert co-residency windows into
@@ -760,7 +757,7 @@ fn issue_batch(node: &mut Node, i: usize, p: StepParams) {
     };
     node.addrs.clear();
     for _ in 0..p.probe_lines {
-        let d = crate::qos::splitmix64(j.key.wrapping_add(j.counter));
+        let d = crate::draw::splitmix64(j.key.wrapping_add(j.counter));
         j.counter += 1;
         node.addrs.push(base.offset((d % p.buf_lines) * p.line_size));
     }
@@ -769,7 +766,8 @@ fn issue_batch(node: &mut Node, i: usize, p: StepParams) {
         .sys
         .access_batch_into(s.pid, s.agent, &node.addrs, now, &mut node.lats)
         .expect("fleet jobs touch only their own pre-mapped buffers");
-    let think = p.think_min + crate::qos::splitmix64(j.key.wrapping_add(j.counter)) % p.think_spread;
+    let think =
+        p.think_min + crate::draw::splitmix64(j.key.wrapping_add(j.counter)) % p.think_spread;
     j.counter += 1;
     j.next_at = now + summary.duration.max(1) + think;
     node.batches += 1;

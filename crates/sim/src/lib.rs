@@ -67,6 +67,7 @@ pub mod cache;
 #[doc(hidden)]
 pub mod cache_reference;
 pub mod config;
+mod draw;
 pub mod engine;
 pub mod error;
 pub mod fabric;

@@ -272,18 +272,6 @@ impl QosConfig {
     }
 }
 
-/// SplitMix64: the one-shot mixer behind the QoS layer's deterministic
-/// pseudo-random streams (grant jitter, valiant intermediate picks).
-/// Chosen over the system RNG so QoS never shifts the seeded
-/// jitter/placement stream and stays bit-identical across schedulers.
-#[inline]
-pub(crate) fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// One tenant's credit on one link window, in *byte-kilocycles*
 /// (`bytes << 10`), so refill arithmetic is exact integer math.
 #[derive(Debug, Clone, Copy)]
@@ -483,7 +471,7 @@ impl QosState {
                 t2
             }
             TrafficShaping::Jitter { span_cycles, seed } => {
-                let j = splitmix64(seed ^ self.jitter_counter) % span_cycles;
+                let j = crate::draw::splitmix64(seed ^ self.jitter_counter) % span_cycles;
                 self.jitter_counter += 1;
                 qs.jitter_delay_cycles += j;
                 t + j

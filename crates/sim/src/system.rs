@@ -10,6 +10,10 @@
 use crate::address::{GpuId, PhysAddr, PhysLoc, SetIndex, VirtAddr};
 use crate::cache::L2Cache;
 use crate::config::SystemConfig;
+use crate::draw::{
+    coin, indexed_draw, IndexedRng, SALT_CONGESTION, SALT_GPU_STREAM, SALT_JITTER, SALT_SPIKE,
+    SALT_VICTIM,
+};
 use crate::error::{SimError, SimResult};
 use crate::fabric::Fabric;
 use crate::fault::{build_epochs, FaultEpoch, FaultPlan};
@@ -21,7 +25,7 @@ use crate::telemetry::{TraceKind, TraceSink};
 use crate::timing::LatencyModel;
 use crate::topology::{LinkId, LinkKind, Route};
 use crate::vm::{AddressSpace, Mapping};
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashSet;
 
@@ -68,9 +72,8 @@ const DEFAULT_TLB_ENTRIES: usize = 64;
 /// Direct-mapped software TLB over a process's page table, indexed by
 /// `vpn & mask`. This is a *simulator implementation* cache, not modelled
 /// hardware: its size has no observable effect on simulated latencies or
-/// RNG consumption, only on host-side speed. PR 1 shipped the one-entry
-/// version (`entries == 1` reproduces it exactly, which the benches use
-/// as the baseline rung).
+/// random draws, only on host-side speed. The one-entry version
+/// (`entries == 1`) is the benches' baseline rung.
 #[derive(Debug, Clone)]
 struct DirectTlb {
     mask: u64,
@@ -170,10 +173,20 @@ pub struct MultiGpuSystem {
     fault_epochs: Vec<FaultEpoch>,
     stats: SystemStats,
     /// Cycle-accurate event tracer ([`crate::telemetry`]). Disabled by
-    /// default: every hook is then one branch, no RNG, no timing change
+    /// default: every hook is then one branch, no draws, no timing change
     /// — a traced run is bit-identical to an untraced one either way.
     trace: TraceSink,
+    /// Frame placement stream ([`Hbm::alloc_frame`]) — its only consumer,
+    /// so placement does not depend on how many accesses came before a
+    /// `malloc`.
     rng: ChaCha8Rng,
+    /// Per-home-GPU noise stream keys, derived from the phase key (the
+    /// boot seed, or the seed [`MultiGpuSystem::canonicalize_phase`]
+    /// derives).
+    noise_keys: Vec<u64>,
+    /// Per-home-GPU access counters: access `i` homed on GPU `g` draws
+    /// every random decision at `(noise_keys[g], salt, i)`.
+    noise_index: Vec<u64>,
     next_agent: u32,
     tlb_entries: usize,
     /// Whether contention bookkeeping can ever be observed. False for
@@ -223,7 +236,9 @@ impl MultiGpuSystem {
         };
         let stats = SystemStats::new(cfg.num_gpus, cfg.topology.num_links());
         let rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-        MultiGpuSystem {
+        let seed = cfg.seed;
+        let gpus_n = cfg.num_gpus as usize;
+        let mut sys = MultiGpuSystem {
             cfg,
             gpus,
             processes: Vec::new(),
@@ -236,17 +251,30 @@ impl MultiGpuSystem {
             stats,
             trace: TraceSink::disabled(),
             rng,
+            noise_keys: vec![0; gpus_n],
+            noise_index: vec![0; gpus_n],
             next_agent: 0,
             tlb_entries: DEFAULT_TLB_ENTRIES,
             track_pressure,
+        };
+        sys.rekey_noise(seed);
+        sys
+    }
+
+    /// Derives every GPU's noise stream key from `phase_key` and restarts
+    /// the access counters.
+    fn rekey_noise(&mut self, phase_key: u64) {
+        for (g, k) in self.noise_keys.iter_mut().enumerate() {
+            *k = indexed_draw(phase_key, SALT_GPU_STREAM, g as u64);
         }
+        self.noise_index.fill(0);
     }
 
     /// Resizes every process's software TLB (and that of processes created
     /// later) to `entries` slots (a power of two).
     ///
     /// This is a host-side performance knob only: simulated latencies,
-    /// cache state and RNG consumption are bit-identical for every size
+    /// cache state and random draws are bit-identical for every size
     /// (`tlb_size_never_changes_observable_results` checks it).
     ///
     /// # Panics
@@ -296,7 +324,7 @@ impl MultiGpuSystem {
     /// Enables cycle-accurate event tracing into a preallocated ring of
     /// at least `capacity` records (see [`crate::telemetry`]). This is
     /// the tracer's only allocation: recording afterwards is
-    /// allocation-free, consumes no RNG and changes no timing, so a
+    /// allocation-free, draws nothing and changes no timing, so a
     /// traced run stays bit-identical to an untraced one.
     pub fn enable_tracing(&mut self, capacity: usize) {
         self.trace.enable(capacity);
@@ -312,6 +340,10 @@ impl MultiGpuSystem {
     /// zero for every [`crate::engine::Engine`] run, so stale timestamps
     /// from a previous run must not leak into the next one; the engine
     /// calls this on construction.
+    ///
+    /// The per-GPU noise counters keep running: rewinding them here would
+    /// replay identical jitter on every engine run. Only
+    /// [`MultiGpuSystem::canonicalize_phase`] restarts them.
     pub fn reset_timing_state(&mut self) {
         for t in &mut self.pressure {
             t.clear();
@@ -327,9 +359,10 @@ impl MultiGpuSystem {
 
     /// Collapses the box to a canonical phase boundary: flushes every
     /// GPU's L2 (contents and per-set counters), clears transient timing
-    /// state, resets statistics and reseeds the RNG deterministically
-    /// from `cfg.seed ^ tag` (splitmix64-mixed so distinct tags give
-    /// unrelated streams).
+    /// state, resets statistics, reseeds the frame-placement RNG and
+    /// re-keys the access noise streams (counters back to zero), both
+    /// deterministically from `cfg.seed ^ tag` (splitmix64-mixed so
+    /// distinct tags give unrelated streams).
     ///
     /// The point is *path-independence*: two runs that reach the same
     /// boundary with the same processes and allocations — no matter how
@@ -359,7 +392,9 @@ impl MultiGpuSystem {
         let mut z = (self.cfg.seed ^ tag).wrapping_add(0x9e37_79b9_7f4a_7c15);
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        self.rng = ChaCha8Rng::seed_from_u64(z ^ (z >> 31));
+        let phase_key = z ^ (z >> 31);
+        self.rng = ChaCha8Rng::seed_from_u64(phase_key);
+        self.rekey_noise(phase_key);
     }
 
     /// Whether the timed per-link fabric model is active.
@@ -672,7 +707,7 @@ impl MultiGpuSystem {
         let (hit, set, latency) =
             self.access_resolved(pid, issuer, home.gpu, home.addr, partition, agent, now, route);
 
-        // Backing store (no RNG, no timing effect — order relative to the
+        // Backing store (no draws, no timing effect — order relative to the
         // timing pass is unobservable).
         let dev = &mut self.gpus[home.gpu.index()];
         let value = match write {
@@ -701,12 +736,15 @@ impl MultiGpuSystem {
     /// lookup), contention pressure, latency, congestion episodes, fabric
     /// traversal and statistics.
     ///
-    /// RNG consumption order is identical to the original scalar path:
-    /// cache (random replacement only) → jitter → congestion draws. The
-    /// fabric traversal — including the whole QoS layer (token buckets,
-    /// shaping, valiant picks, all counter-indexed splitmix64 streams) —
-    /// consumes no RNG, so enabling either never shifts the random
-    /// stream.
+    /// Randomness is counter-indexed ([`crate::draw`]): the access takes
+    /// the next index `i` of its home GPU's counter — once, whichever
+    /// branches run — and each random decision is the draw at
+    /// `(noise_keys[home], salt, i)` with its own salt: the victim way
+    /// (random replacement only), the jitter, the spike size inside a
+    /// congestion episode and the coin that opens one. No decision can
+    /// shift another, nor any later access's. The fabric traversal —
+    /// including the whole QoS layer, whose streams are counter-indexed
+    /// too — draws nothing from these streams.
     #[allow(clippy::too_many_arguments)] // flat parameter list keeps the hot path monomorphic
     fn access_resolved(
         &mut self,
@@ -720,12 +758,16 @@ impl MultiGpuSystem {
         route: Route,
     ) -> (bool, SetIndex, u32) {
         let window = self.cfg.timing.contention_window;
+        let key = self.noise_keys[home.index()];
+        let i = self.noise_index[home.index()];
+        self.noise_index[home.index()] = i + 1;
 
         // Cache lookup on the HOME GPU's L2 — the paper's key finding.
-        let (outcome, set) =
-            self.gpus[home.index()]
-                .l2
-                .access_located(pa, &mut self.rng, partition);
+        let (outcome, set) = self.gpus[home.index()].l2.access_located(
+            pa,
+            &mut IndexedRng::new(key, SALT_VICTIM, i),
+            partition,
+        );
         let hit = outcome.is_hit();
         if self.trace.is_enabled() {
             let set_w = set.raw() as u64;
@@ -745,7 +787,7 @@ impl MultiGpuSystem {
         // Contention pressure on the home GPU's L2/ports. When no timing
         // term can observe pressure (noiseless configs) the window
         // trackers are skipped wholesale — `pressure == 0` then produces
-        // the same latency, no congestion draw and no RNG consumption.
+        // the same latency and no congestion draw.
         let pressure = if self.track_pressure {
             let tracker = &mut self.pressure[home.index()];
             let p = tracker.pressure(now, agent, window);
@@ -769,8 +811,9 @@ impl MultiGpuSystem {
 
         // Valiant routing (QoS defence): pick this line's intermediate
         // *before* the latency draw so the per-hop latency term covers
-        // the hops actually traversed. The pick consumes no RNG, so the
-        // canonical path — and every QoS-off simulation — is untouched.
+        // the hops actually traversed. The pick draws from the QoS
+        // layer's own stream, so the canonical path — and every QoS-off
+        // simulation — is untouched.
         // Suspended during outage epochs: a detour segment could cross a
         // failed link the rerouted table avoids.
         let mut fabric_route = route;
@@ -801,9 +844,14 @@ impl MultiGpuSystem {
             }
         }
 
+        let jitter_draw = if self.latency.is_jittered() {
+            indexed_draw(key, SALT_JITTER, i)
+        } else {
+            0
+        };
         let mut latency = self
             .latency
-            .access_latency(fabric_route, hit, pressure, &mut self.rng);
+            .access_latency(fabric_route, hit, pressure, jitter_draw);
         if self.track_pressure {
             // NVLink serialisation: concurrent remote requesters to the
             // same home GPU queue on the link. This scalar term is the
@@ -826,15 +874,17 @@ impl MultiGpuSystem {
             // clamp at `u32::MAX` instead of wrapping to hit-like values.
             let t = &self.cfg.timing;
             if now < self.congested_until[home.index()] {
+                let d = indexed_draw(key, SALT_SPIKE, i) as u32;
                 let spike = t
                     .contention_spike_cycles
-                    .saturating_add(self.rng.gen::<u32>() % (t.contention_spike_cycles / 2 + 1));
+                    .saturating_add(d % (t.contention_spike_cycles / 2 + 1));
                 latency = latency.saturating_add(spike);
             } else if pressure > 0
                 && t.contention_spike_prob > 0.0
-                && self
-                    .rng
-                    .gen_bool((t.contention_spike_prob * f64::from(pressure)).min(1.0))
+                && coin(
+                    indexed_draw(key, SALT_CONGESTION, i),
+                    (t.contention_spike_prob * f64::from(pressure)).min(1.0),
+                )
             {
                 self.congested_until[home.index()] = now.saturating_add(t.congestion_cycles);
                 self.stats.gpu_mut(home).congestion_episodes += 1;
@@ -845,7 +895,7 @@ impl MultiGpuSystem {
         // Timed fabric: route the line across the physical links of the
         // shortest path (or through the PCIe root complex), accumulating
         // queue waits and per-link serialisation store-and-forward. Off
-        // by default; deterministic (no RNG) when on.
+        // by default; draws nothing from the noise streams when on.
         if home != issuer && self.fabric.enabled() {
             let line = self.cfg.cache.line_size;
             let extra = match route.kind {
@@ -1134,12 +1184,6 @@ impl MultiGpuSystem {
         let loc = self.process(pid)?.aspace.translate(va)?;
         Ok((loc.gpu, loc.addr))
     }
-
-    /// Draws from the system RNG (for experiment helpers needing
-    /// reproducible randomness tied to the system seed).
-    pub fn rng_u64(&mut self) -> u64 {
-        self.rng.gen()
-    }
 }
 
 /// Result of a warp-parallel batch access.
@@ -1167,6 +1211,9 @@ pub struct BatchSummary {
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
+    use crate::engine::{Agent, Engine, Op, OpResult, ProbeStage};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn boot() -> MultiGpuSystem {
         MultiGpuSystem::new(SystemConfig::small_test().noiseless())
@@ -1407,8 +1454,8 @@ mod tests {
     #[test]
     fn tlb_size_never_changes_observable_results() {
         // The software TLB is a host-side cache: any size must produce
-        // bit-identical latencies and RNG consumption. Run the same
-        // jittered (RNG-consuming) sequence with the PR 1 one-entry TLB
+        // bit-identical latencies and random draws. Run the same
+        // jittered sequence with a one-entry TLB
         // and the default, over scalar and batched paths.
         let run = |entries: usize| -> Vec<u32> {
             let mut sys = MultiGpuSystem::new(SystemConfig::small_test());
@@ -1849,5 +1896,114 @@ mod tests {
             "contended hit should exceed 270: {}",
             acc.latency
         );
+    }
+
+    /// Latencies of `n` scalar hits on one warm line of GPU 0, with an
+    /// access homed on GPU 2 interleaved after every fourth when `extra`.
+    fn gpu0_latencies(extra: bool, n: u64) -> Vec<u32> {
+        let mut sys = MultiGpuSystem::new(SystemConfig::dgx1().with_seed(21));
+        let p0 = sys.create_process(GpuId::new(0));
+        let p2 = sys.create_process(GpuId::new(2));
+        let b0 = sys.malloc_on(p0, GpuId::new(0), 1 << 16).unwrap();
+        let b2 = sys.malloc_on(p2, GpuId::new(2), 1 << 16).unwrap();
+        let (a0, a2) = (sys.default_agent(p0), sys.default_agent(p2));
+        let mut lats = Vec::new();
+        for i in 0..n {
+            let t = i * 500;
+            let acc = sys
+                .access(p0, a0, b0.offset((i % 8) * 128), t, None)
+                .unwrap();
+            lats.push(acc.latency);
+            if extra && i % 4 == 0 {
+                sys.access(p2, a2, b2.offset(i * 128), t + 100, None)
+                    .unwrap();
+            }
+        }
+        lats
+    }
+
+    #[test]
+    fn another_gpus_accesses_leave_this_gpus_noise_untouched() {
+        let alone = gpu0_latencies(false, 256);
+        assert_eq!(alone, gpu0_latencies(true, 256));
+        assert!(alone.iter().any(|&l| l != alone[8]), "jitter expected");
+    }
+
+    /// Issues `left` loads of `line` and records every latency.
+    struct Recorder {
+        pid: ProcessId,
+        line: VirtAddr,
+        left: u32,
+        seen: Rc<RefCell<Vec<u32>>>,
+    }
+
+    impl Agent for Recorder {
+        fn next_op(&mut self, _now: u64, _stage: &mut ProbeStage) -> Op {
+            if self.left == 0 {
+                return Op::Done;
+            }
+            self.left -= 1;
+            Op::Load(self.line)
+        }
+
+        fn on_result(&mut self, res: &OpResult<'_>) {
+            self.seen.borrow_mut().extend_from_slice(res.latencies);
+        }
+
+        fn process(&self) -> ProcessId {
+            self.pid
+        }
+    }
+
+    #[test]
+    fn back_to_back_engine_runs_see_fresh_jitter() {
+        let mut sys = MultiGpuSystem::new(SystemConfig::small_test());
+        let p = sys.create_process(GpuId::new(0));
+        let line = sys.malloc_on(p, GpuId::new(0), 4096).unwrap();
+        sys.access(p, sys.default_agent(p), line, 0, None).unwrap();
+        let mut run = || {
+            let seen = Rc::new(RefCell::new(Vec::new()));
+            let mut eng = Engine::new(&mut sys);
+            eng.add_agent(
+                Box::new(Recorder {
+                    pid: p,
+                    line,
+                    left: 64,
+                    seen: seen.clone(),
+                }),
+                0,
+            );
+            eng.run(u64::MAX).unwrap();
+            seen.take()
+        };
+        let first = run();
+        let second = run();
+        assert_eq!(first.len(), 64);
+        assert_ne!(
+            first, second,
+            "the engine must not rewind the noise counters"
+        );
+    }
+
+    #[test]
+    fn noiseless_box_draws_no_noise() {
+        let draws_during = |cfg: SystemConfig| {
+            let mut sys = MultiGpuSystem::new(cfg);
+            let p = sys.create_process(GpuId::new(1));
+            sys.enable_peer_access(p, GpuId::new(0)).unwrap();
+            let local = sys.malloc_on(p, GpuId::new(1), 1 << 16).unwrap();
+            let remote = sys.malloc_on(p, GpuId::new(0), 1 << 16).unwrap();
+            let (a, b) = (sys.default_agent(p), sys.new_agent());
+            let before = crate::draw::DRAWS.with(|c| c.get());
+            for i in 0..512u64 {
+                sys.access(p, a, local.offset((i * 128 * 7) % (1 << 16)), i * 50, None)
+                    .unwrap();
+                sys.access(p, b, remote.offset((i * 128 * 5) % (1 << 16)), i * 50, None)
+                    .unwrap();
+            }
+            crate::draw::DRAWS.with(|c| c.get()) - before
+        };
+        assert_eq!(draws_during(SystemConfig::small_test().noiseless()), 0);
+        assert!(draws_during(SystemConfig::small_test()) >= 1024);
     }
 }

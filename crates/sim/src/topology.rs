@@ -372,7 +372,7 @@ impl Topology {
             return None;
         }
         let pair = (src.index() * self.n as usize + dst.index()) as u64;
-        let h = crate::qos::splitmix64(
+        let h = crate::draw::splitmix64(
             seed ^ pair.wrapping_mul(0xA24B_AED4_963E_E407)
                 ^ counter.wrapping_mul(0x9E37_79B9_7F4A_7C15),
         );

@@ -4,7 +4,8 @@
 //! The fleet runner never reconstructs a node — when its last job
 //! departs, the node is recycled in place via `canonicalize_phase`.
 //! That only works if the boundary rewinds *everything* a tenant epoch
-//! can observe: L2 contents, timing state, stats, the RNG stream — and
+//! can observe: L2 contents, timing state, stats, the frame-placement
+//! RNG and the noise-draw counters — and
 //! (the PR-9 fix) the trace ring and the agent-id counter, which
 //! previously leaked the first tenant's history into the second epoch.
 //! The fingerprint below folds latencies, batch summaries, serialized
