@@ -3,11 +3,13 @@
 //!
 //! Besides the per-bin stdout, emits one machine-readable
 //! `results/RESULTS.json` artefact: per-bin status (`pass` / `fail` /
-//! `unlaunchable`), exit code, wall-clock duration, peak OS thread
-//! count (sampled from `/proc/<pid>/status` while the bin runs) and
-//! any warnings the bin recorded via [`gpubox_bench::report::warn`]
-//! (e.g. a saturated `TraceSink` under-reporting trace spans), plus
-//! the suite totals — the unified report CI uploads. The same totals
+//! `unlaunchable`), exit code, wall-clock duration, on-CPU time
+//! (`cpu_ms`, the reaped child's user + system time), peak OS thread
+//! count and peak resident set (`peak_rss_kb`, both sampled from
+//! `/proc/<pid>/status` while the bin runs) and any warnings the bin
+//! recorded via [`gpubox_bench::report::warn`] (e.g. a saturated
+//! `TraceSink` under-reporting trace spans), plus the suite totals —
+//! the unified report CI uploads. The same totals
 //! are exported as `results/metrics.prom` in Prometheus exposition
 //! format through [`MetricSet::to_prometheus_text`].
 //!
@@ -23,23 +25,40 @@ use serde::Serialize;
 use std::process::Command;
 use std::time::{Duration, Instant};
 
-/// Current OS thread count of `pid` from `/proc/<pid>/status`
-/// (`Threads:` line). Linux only; `None` elsewhere or on any read
-/// failure (e.g. the process already exited).
-fn thread_count(pid: u32) -> Option<u64> {
+/// One sample of `pid`'s `/proc/<pid>/status`: its OS thread count
+/// (`Threads:`) and peak resident set in kB (`VmHWM:`). Linux only;
+/// `None`s elsewhere or on any read failure (e.g. the process already
+/// exited).
+fn status_sample(pid: u32) -> (Option<u64>, Option<u64>) {
     #[cfg(target_os = "linux")]
     {
-        let status = std::fs::read_to_string(format!("/proc/{pid}/status")).ok()?;
-        status
-            .lines()
-            .find_map(|l| l.strip_prefix("Threads:"))
-            .and_then(|v| v.trim().parse().ok())
+        let Ok(status) = std::fs::read_to_string(format!("/proc/{pid}/status")) else {
+            return (None, None);
+        };
+        let field = |key: &str| {
+            status
+                .lines()
+                .find_map(|l| l.strip_prefix(key))
+                .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
+        };
+        (field("Threads:"), field("VmHWM:"))
     }
     #[cfg(not(target_os = "linux"))]
     {
         let _ = pid;
-        None
+        (None, None)
     }
+}
+
+/// User + system CPU time, in ms, of this process's reaped children:
+/// `cutime + cstime` from `/proc/self/stat` (the 14th and 15th fields
+/// after the `)` closing the command name) at USER_HZ = 100. `None`
+/// off Linux or on a read failure.
+fn children_cpu_ms() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    let fields: Vec<&str> = stat[stat.rfind(')')? + 1..].split_whitespace().collect();
+    let ticks = |i: usize| fields.get(i)?.parse::<u64>().ok();
+    Some((ticks(13)? + ticks(14)?) * 10)
 }
 
 #[derive(Debug, Serialize)]
@@ -51,9 +70,15 @@ struct BinResult {
     /// Exit code when the process ran and reported one.
     exit_code: Option<i32>,
     duration_ms: u64,
+    /// The bin's user + system CPU time, 10 ms resolution (Linux only).
+    cpu_ms: Option<u64>,
     /// Peak OS thread count observed while the bin ran (Linux only;
     /// `None` when the probe is unavailable or the bin never launched).
     peak_threads: Option<u64>,
+    /// Peak resident set (`VmHWM`) at the last sample before the bin
+    /// exited, in kB (Linux only). Samples are 5 ms apart, so a bin that
+    /// exits within one poll may under-report.
+    peak_rss_kb: Option<u64>,
     /// Warnings the bin recorded via `report::warn` — non-fatal
     /// conditions (e.g. dropped trace records) that would otherwise
     /// only exist in the scrollback.
@@ -145,15 +170,20 @@ fn main() {
         // so the final report still covers the rest.
         let started = Instant::now();
         let _ = std::fs::remove_file(warning_path(bin));
+        let cpu_before = children_cpu_ms();
+        let mut peak_rss_kb = None;
         let (status, exit_code, peak_threads) = match Command::new(dir.join(bin)).spawn() {
             Ok(mut child) => {
-                // Sample the child's OS thread count until it exits so
-                // the report records how parallel each bin actually ran.
+                // Sample the child's OS thread count and resident-set high
+                // water mark until it exits, so the report records how
+                // parallel and how large each bin actually ran.
                 let mut peak: Option<u64> = None;
                 let outcome = loop {
-                    if let Some(t) = thread_count(child.id()) {
+                    let (threads, hwm) = status_sample(child.id());
+                    if let Some(t) = threads {
                         peak = Some(peak.map_or(t, |p| p.max(t)));
                     }
+                    peak_rss_kb = hwm.or(peak_rss_kb);
                     match child.try_wait() {
                         Ok(Some(s)) => break Ok(s),
                         Ok(None) => std::thread::sleep(Duration::from_millis(5)),
@@ -182,7 +212,11 @@ fn main() {
             status: status.to_string(),
             exit_code,
             duration_ms: started.elapsed().as_millis() as u64,
+            cpu_ms: children_cpu_ms()
+                .zip(cpu_before)
+                .map(|(after, before)| after - before),
             peak_threads,
+            peak_rss_kb,
             warnings: collect_warnings(bin),
         });
     }

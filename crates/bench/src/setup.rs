@@ -394,14 +394,14 @@ impl SideChannelSetup {
 }
 
 /// Estimates how long (in cycles) a victim trace will occupy the GPU, so
-/// recorders know how long to watch.
-pub fn estimate_trace_cycles(trace: &[gpubox_workloads::TraceOp]) -> u64 {
+/// recorders know how long to watch: one counting pass over its ops.
+pub fn estimate_trace_cycles(trace: &gpubox_workloads::Trace) -> u64 {
     use gpubox_workloads::TraceOp;
     trace
-        .iter()
+        .ops()
         .map(|op| match op {
             TraceOp::Load(_) | TraceOp::Store(..) => 360, // mixed hit/miss estimate
-            TraceOp::Compute(c) => *c,
+            TraceOp::Compute(c) => c,
         })
         .sum()
 }
@@ -422,7 +422,7 @@ pub fn victim_with_duration(
         workload.build(&mut ctx).expect("victim trace build")
     };
     let estimate = estimate_trace_cycles(&trace) * 13 / 10;
-    (gpubox_workloads::TraceAgent::new(pid, trace), estimate)
+    (gpubox_workloads::TraceAgent::new(pid, &trace), estimate)
 }
 
 #[cfg(test)]

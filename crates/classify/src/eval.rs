@@ -55,6 +55,48 @@ pub fn stratified_split(
     split
 }
 
+/// One-sided Clopper–Pearson lower confidence bound on a success
+/// probability: the `p` at which `P(X >= successes)` for
+/// `X ~ Binomial(trials, p)` equals `alpha`, found by bisection on the
+/// exact binomial tail. Zero successes give 0.
+///
+/// # Panics
+///
+/// Panics if `successes > trials` or `alpha` is not in `(0, 1)`.
+pub fn clopper_pearson_lower(successes: usize, trials: usize, alpha: f64) -> f64 {
+    assert!(successes <= trials, "more successes than trials");
+    assert!(alpha > 0.0 && alpha < 1.0, "alpha must lie in (0, 1)");
+    if successes == 0 {
+        return 0.0;
+    }
+    // ln(i!) for i = 0..=trials.
+    let ln_fact: Vec<f64> = std::iter::once(0.0)
+        .chain((1..=trials).scan(0.0, |acc, i| {
+            *acc += (i as f64).ln();
+            Some(*acc)
+        }))
+        .collect();
+    let upper_tail = |p: f64| -> f64 {
+        (successes..=trials)
+            .map(|i| {
+                let ln_choose = ln_fact[trials] - ln_fact[i] - ln_fact[trials - i];
+                (ln_choose + i as f64 * p.ln() + (trials - i) as f64 * (-p).ln_1p()).exp()
+            })
+            .sum()
+    };
+    // The tail grows with p: keep the root inside (lo, hi].
+    let (mut lo, mut hi) = (0.0f64, 1.0f64);
+    for _ in 0..100 {
+        let mid = 0.5 * (lo + hi);
+        if upper_tail(mid) < alpha {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    0.5 * (lo + hi)
+}
+
 /// A confusion matrix with per-class and overall metrics.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ConfusionMatrix {
@@ -95,14 +137,21 @@ impl ConfusionMatrix {
         self.counts[truth][predicted]
     }
 
+    /// Samples on the diagonal.
+    pub fn correct(&self) -> usize {
+        (0..self.classes).map(|c| self.counts[c][c]).sum()
+    }
+
+    /// Samples recorded.
+    pub fn total(&self) -> usize {
+        self.counts.iter().flatten().sum()
+    }
+
     /// Overall accuracy.
     pub fn accuracy(&self) -> f64 {
-        let correct: usize = (0..self.classes).map(|c| self.counts[c][c]).sum();
-        let total: usize = self.counts.iter().flatten().sum();
-        if total == 0 {
-            0.0
-        } else {
-            correct as f64 / total as f64
+        match self.total() {
+            0 => 0.0,
+            total => self.correct() as f64 / total as f64,
         }
     }
 
@@ -141,6 +190,24 @@ impl ConfusionMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn clopper_pearson_lower_matches_closed_forms() {
+        // All successes: P(X = n) = p^n = alpha.
+        let all = clopper_pearson_lower(288, 288, 0.05);
+        assert!((all - 0.05f64.powf(1.0 / 288.0)).abs() < 1e-12, "{all}");
+        assert!((all - 0.98965).abs() < 5e-6, "{all}");
+        assert_eq!(clopper_pearson_lower(0, 10, 0.05), 0.0);
+        // 5 of 10: the textbook 90% two-sided interval is [0.2224, 0.7776].
+        let half = clopper_pearson_lower(5, 10, 0.05);
+        assert!((half - 0.2224).abs() < 1e-4, "{half}");
+        // One success: 1 - (1 - p)^n = alpha.
+        let one = clopper_pearson_lower(1, 20, 0.05);
+        assert!(
+            (one - (1.0 - 0.95f64.powf(1.0 / 20.0))).abs() < 1e-12,
+            "{one}"
+        );
+    }
 
     #[test]
     fn split_is_stratified() {

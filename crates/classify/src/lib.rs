@@ -26,7 +26,7 @@ pub mod knn;
 pub mod logreg;
 pub mod memorygram;
 
-pub use eval::{stratified_split, ConfusionMatrix, Split};
+pub use eval::{clopper_pearson_lower, stratified_split, ConfusionMatrix, Split};
 pub use knn::KnnClassifier;
 pub use logreg::{LogisticClassifier, TrainConfig};
 pub use memorygram::Memorygram;

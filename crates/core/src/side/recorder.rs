@@ -114,8 +114,12 @@ pub fn record_memorygram(
         eng.add_agent(v, 0);
     }
     eng.run(cfg.duration)?;
-    let out = gram.borrow().clone();
-    Ok(out)
+    // Dropping the engine drops the recorder agent and its handle, so the
+    // memorygram moves out without a copy.
+    drop(eng);
+    Ok(Rc::try_unwrap(gram)
+        .expect("the engine released the recorder")
+        .into_inner())
 }
 
 #[cfg(test)]

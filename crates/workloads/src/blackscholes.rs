@@ -5,9 +5,10 @@
 //! cadence of the suite).
 
 use crate::data::uniform_vec;
-use crate::trace::{TraceBuilder, TraceOp};
+use crate::trace::{Trace, TraceOp};
 use crate::Workload;
 use gpubox_sim::{ProcessCtx, SimResult};
+use std::rc::Rc;
 
 /// Black–Scholes pricing of `n` options.
 #[derive(Debug, Clone)]
@@ -72,7 +73,7 @@ impl Workload for BlackScholes {
         "BS"
     }
 
-    fn build(&self, ctx: &mut ProcessCtx<'_>) -> SimResult<Vec<TraceOp>> {
+    fn build(&self, ctx: &mut ProcessCtx<'_>) -> SimResult<Trace> {
         let home = ctx.home();
         let bytes = (self.n * 8) as u64;
         let s_buf = ctx.malloc_on(home, bytes)?;
@@ -89,24 +90,28 @@ impl Workload for BlackScholes {
 
         const RISK_FREE: f64 = 0.02;
         const VOLATILITY: f64 = 0.30;
-        let mut t = TraceBuilder::new();
-        for i in 0..self.n as u64 {
-            t.load(s_buf, i);
-            t.load(k_buf, i);
-            t.load(t_buf, i);
-            let (call, put) = Self::price(
-                s[i as usize],
-                k[i as usize],
-                tm[i as usize],
-                RISK_FREE,
-                VOLATILITY,
-            );
-            // Heavy SFU work (exp/ln/sqrt) dominates this kernel.
-            t.compute(24);
-            t.store(call_buf, i, call.to_bits());
-            t.store(put_buf, i, put.to_bits());
-        }
-        Ok(t.finish())
+        // Prices are computed once; every pass streams them.
+        let prices: Rc<[[u64; 2]]> = (0..self.n)
+            .map(|i| {
+                let (call, put) = Self::price(s[i], k[i], tm[i], RISK_FREE, VOLATILITY);
+                [call.to_bits(), put.to_bits()]
+            })
+            .collect();
+        Ok(Trace::new(move || {
+            let prices = Rc::clone(&prices);
+            (0..prices.len() as u64).flat_map(move |i| {
+                let [call, put] = prices[i as usize];
+                [
+                    TraceOp::load(s_buf, i),
+                    TraceOp::load(k_buf, i),
+                    TraceOp::load(t_buf, i),
+                    // Heavy SFU work (exp/ln/sqrt) dominates this kernel.
+                    TraceOp::Compute(24),
+                    TraceOp::store(call_buf, i, call),
+                    TraceOp::store(put_buf, i, put),
+                ]
+            })
+        }))
     }
 }
 
@@ -133,9 +138,9 @@ mod tests {
         let mut ctx = ProcessCtx::new(&mut sys, pid, 0);
         let trace = BlackScholes::new(128).build(&mut ctx).unwrap();
         let compute: u64 = trace
-            .iter()
+            .ops()
             .filter_map(|o| match o {
-                TraceOp::Compute(c) => Some(*c),
+                TraceOp::Compute(c) => Some(c),
                 _ => None,
             })
             .sum();

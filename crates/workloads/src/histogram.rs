@@ -4,10 +4,11 @@
 //! bin region (read-modify-write).
 
 use crate::data::rng;
-use crate::trace::{TraceBuilder, TraceOp};
+use crate::trace::{Trace, TraceOp};
 use crate::Workload;
 use gpubox_sim::{ProcessCtx, SimResult};
 use rand::Rng;
+use std::rc::Rc;
 
 /// Histogram over `n` input elements into `bins` bins.
 #[derive(Debug, Clone)]
@@ -42,7 +43,7 @@ impl Workload for Histogram {
         "HG"
     }
 
-    fn build(&self, ctx: &mut ProcessCtx<'_>) -> SimResult<Vec<TraceOp>> {
+    fn build(&self, ctx: &mut ProcessCtx<'_>) -> SimResult<Trace> {
         let home = ctx.home();
         let input = ctx.malloc_on(home, (self.n * 8) as u64)?;
         let bins_buf = ctx.malloc_on(home, (self.bins * 8) as u64)?;
@@ -52,18 +53,24 @@ impl Workload for Histogram {
             .collect();
         ctx.write_words(input, &data)?;
 
-        let mut counts = vec![0u64; self.bins];
-        let mut t = TraceBuilder::new();
-        for i in 0..self.n as u64 {
-            t.load(input, i);
-            let bin = data[i as usize];
-            // Read-modify-write of the bin counter.
-            t.load(bins_buf, bin);
-            counts[bin as usize] += 1;
-            t.store(bins_buf, bin, counts[bin as usize]);
-            t.compute(1);
-        }
-        Ok(t.finish())
+        let data: Rc<[u64]> = data.into();
+        let bins = self.bins;
+        Ok(Trace::new(move || {
+            let data = Rc::clone(&data);
+            // Running bin counts restart with every pass.
+            let mut counts = vec![0u64; bins];
+            (0..data.len() as u64).flat_map(move |i| {
+                let bin = data[i as usize];
+                counts[bin as usize] += 1;
+                // Read-modify-write of the bin counter.
+                [
+                    TraceOp::load(input, i),
+                    TraceOp::load(bins_buf, bin),
+                    TraceOp::store(bins_buf, bin, counts[bin as usize]),
+                    TraceOp::Compute(1),
+                ]
+            })
+        }))
     }
 }
 
@@ -80,9 +87,9 @@ mod tests {
         let trace = Histogram::new(512, 16).build(&mut ctx).unwrap();
         // Replay the final value stored per bin address.
         let mut last = std::collections::HashMap::new();
-        for op in &trace {
+        for op in trace.ops() {
             if let TraceOp::Store(va, v) = op {
-                last.insert(*va, *v);
+                last.insert(va, v);
             }
         }
         let total: u64 = last.values().sum();
@@ -96,9 +103,9 @@ mod tests {
         let mut ctx = ProcessCtx::new(&mut sys, pid, 0);
         let trace = Histogram::new(256, 16).build(&mut ctx).unwrap();
         let stores: std::collections::HashSet<_> = trace
-            .iter()
+            .ops()
             .filter_map(|o| match o {
-                TraceOp::Store(va, _) => Some(*va),
+                TraceOp::Store(va, _) => Some(va),
                 _ => None,
             })
             .collect();

@@ -6,19 +6,24 @@
 //! victim of Sec. V-B, rebuilt as a from-scratch training loop.
 //!
 //! Each workload *actually computes its algorithm* over buffers allocated
-//! in simulated GPU memory and emits the memory-access trace its loops
-//! generate; a [`TraceAgent`] replays the trace inside the discrete-event
-//! engine so the spy observes genuine L2 contention patterns.
+//! in simulated GPU memory and describes the memory-access trace its loops
+//! generate as a lazy [`Trace`]: ops are generated on demand, never
+//! stored. A [`TraceAgent`] pulls them inside the discrete-event engine
+//! so the spy observes genuine L2 contention patterns.
 //!
 //! ```
-//! use gpubox_sim::{GpuId, MultiGpuSystem, SystemConfig};
-//! use gpubox_workloads::{Workload, VectorAdd};
+//! use gpubox_sim::{GpuId, MultiGpuSystem, ProcessCtx, SystemConfig};
+//! use gpubox_workloads::{TraceAgent, VectorAdd, Workload};
 //!
 //! # fn main() -> Result<(), gpubox_sim::SimError> {
 //! let mut sys = MultiGpuSystem::new(SystemConfig::small_test());
 //! let pid = sys.create_process(GpuId::new(0));
-//! let agent = gpubox_workloads::agent_for(&mut sys, pid, &VectorAdd::new(1024))?;
-//! assert!(agent.remaining_ops() > 0);
+//! let trace = {
+//!     let mut ctx = ProcessCtx::new(&mut sys, pid, 0);
+//!     VectorAdd::new(1024).build(&mut ctx)?
+//! };
+//! assert_eq!(trace.ops().count(), 4 * 1024);
+//! let _agent = TraceAgent::new(pid, &trace);
 //! # Ok(())
 //! # }
 //! ```
@@ -41,7 +46,7 @@ pub use histogram::Histogram;
 pub use matmul::MatMul;
 pub use mlp::{MlpConfig, MlpTraining};
 pub use quasirandom::QuasiRandom;
-pub use trace::{agent_for, TraceAgent, TraceOp};
+pub use trace::{agent_for, Ops, Trace, TraceAgent, TraceOp};
 pub use vectoradd::VectorAdd;
 pub use walsh::WalshTransform;
 
@@ -54,12 +59,14 @@ pub trait Workload {
     fn name(&self) -> &'static str;
 
     /// Allocates device buffers on the process's home GPU and returns the
-    /// access trace of one complete run.
+    /// access trace of one complete run. Allocation happens here, in a
+    /// fixed order, because frame placement follows allocation order; the
+    /// ops themselves are generated lazily by each [`Trace::ops`] pass.
     ///
     /// # Errors
     ///
     /// Propagates allocation failures.
-    fn build(&self, ctx: &mut ProcessCtx<'_>) -> SimResult<Vec<TraceOp>>;
+    fn build(&self, ctx: &mut ProcessCtx<'_>) -> SimResult<Trace>;
 }
 
 /// The paper's six fingerprinting victims, in Fig. 12 label order:
@@ -108,14 +115,10 @@ mod tests {
             let pid = sys.create_process(GpuId::new(0));
             let mut ctx = gpubox_sim::ProcessCtx::new(&mut sys, pid, 0);
             let trace = w.build(&mut ctx).unwrap();
-            assert!(
-                trace.len() > 1000,
-                "{} trace too short: {}",
-                w.name(),
-                trace.len()
-            );
+            let len = trace.ops().count();
+            assert!(len > 1000, "{} trace too short: {len}", w.name());
             let loads = trace
-                .iter()
+                .ops()
                 .filter(|op| matches!(op, TraceOp::Load(_)))
                 .count();
             assert!(loads > 0, "{} must load memory", w.name());

@@ -5,9 +5,10 @@
 //! memorygram of the paper's Fig. 11.
 
 use crate::data::uniform_vec;
-use crate::trace::{TraceBuilder, TraceOp};
+use crate::trace::{Trace, TraceOp};
 use crate::Workload;
 use gpubox_sim::{ProcessCtx, SimResult};
+use std::rc::Rc;
 
 /// Tiled matrix multiply of two `n × n` matrices with `tile × tile`
 /// blocks.
@@ -48,7 +49,7 @@ impl Workload for MatMul {
         "MM"
     }
 
-    fn build(&self, ctx: &mut ProcessCtx<'_>) -> SimResult<Vec<TraceOp>> {
+    fn build(&self, ctx: &mut ProcessCtx<'_>) -> SimResult<Trace> {
         let home = ctx.home();
         let n = self.n;
         let bytes = (n * n * 8) as u64;
@@ -62,27 +63,12 @@ impl Workload for MatMul {
 
         let ts = self.tile;
         let tiles = n / ts;
+        // The real product, computed once in the kernel's tile order; the
+        // trace streams only its addresses and the written-back values.
         let mut c = vec![0.0f64; n * n];
-        let mut t = TraceBuilder::new();
-        // Tile-blocked loops: each (bi, bj) output tile accumulates over
-        // bk. Tiles are staged through shared memory on a real GPU, so the
-        // L2 sees one pass over each tile's lines per (bi, bj, bk) step
-        // (8 elements per 128 B line -> emit one load per line).
         for bi in 0..tiles {
             for bj in 0..tiles {
                 for bk in 0..tiles {
-                    // Load A tile (rows bi*ts.., cols bk*ts..): one line
-                    // per row covers the 16-wide tile (16 × 8 B = 128 B).
-                    for r in 0..ts {
-                        let row = bi * ts + r;
-                        t.load(a_buf, (row * n + bk * ts) as u64);
-                    }
-                    // Load B tile.
-                    for r in 0..ts {
-                        let row = bk * ts + r;
-                        t.load(b_buf, (row * n + bj * ts) as u64);
-                    }
-                    // The actual FMA work on the staged tiles.
                     for r in 0..ts {
                         for cc in 0..ts {
                             let mut acc = c[(bi * ts + r) * n + bj * ts + cc];
@@ -93,17 +79,39 @@ impl Workload for MatMul {
                             c[(bi * ts + r) * n + bj * ts + cc] = acc;
                         }
                     }
-                    t.compute((ts * ts * ts / 8) as u64);
-                }
-                // Write back the finished C tile, one line per row.
-                for r in 0..ts {
-                    let row = bi * ts + r;
-                    let idx = (row * n + bj * ts) as u64;
-                    t.store(c_buf, idx, c[row * n + bj * ts].to_bits());
                 }
             }
         }
-        Ok(t.finish())
+        let c: Rc<[f64]> = c.into();
+        let fma_cycles = (ts * ts * ts / 8) as u64;
+        Ok(Trace::new(move || {
+            let c = Rc::clone(&c);
+            // Tile-blocked loops: each (bi, bj) output tile accumulates
+            // over bk. Tiles are staged through shared memory on a real
+            // GPU, so the L2 sees one pass over each tile's lines per
+            // (bi, bj, bk) step: one load per row, since a 16-wide tile
+            // row is one 128 B line.
+            (0..tiles * tiles).flat_map(move |tile| {
+                let (bi, bj) = (tile / tiles, tile % tiles);
+                let c = Rc::clone(&c);
+                (0..tiles)
+                    .flat_map(move |bk| {
+                        let a_rows = (0..ts).map(move |r| {
+                            TraceOp::load(a_buf, ((bi * ts + r) * n + bk * ts) as u64)
+                        });
+                        let b_rows = (0..ts).map(move |r| {
+                            TraceOp::load(b_buf, ((bk * ts + r) * n + bj * ts) as u64)
+                        });
+                        // Then the FMA work on the staged tiles.
+                        a_rows.chain(b_rows).chain([TraceOp::Compute(fma_cycles)])
+                    })
+                    // Write back the finished C tile, one line per row.
+                    .chain((0..ts).map(move |r| {
+                        let idx = (bi * ts + r) * n + bj * ts;
+                        TraceOp::store(c_buf, idx as u64, c[idx].to_bits())
+                    }))
+            })
+        }))
     }
 }
 
@@ -125,9 +133,9 @@ mod tests {
         let trace = w.build(&mut ctx).unwrap();
         // Extract the stored C[0,16] (row 0, second tile) value.
         let mut stored = std::collections::HashMap::new();
-        for op in &trace {
+        for op in trace.ops() {
             if let TraceOp::Store(va, v) = op {
-                stored.insert(*va, f64::from_bits(*v));
+                stored.insert(va, f64::from_bits(v));
             }
         }
         // Naive C[0][0]:
@@ -158,9 +166,9 @@ mod tests {
         let mut ctx = ProcessCtx::new(&mut sys, pid, 0);
         let trace = MatMul::new(64, 16).build(&mut ctx).unwrap();
         let mut counts = std::collections::HashMap::new();
-        for op in &trace {
+        for op in trace.ops() {
             if let TraceOp::Load(va) = op {
-                *counts.entry(*va).or_insert(0usize) += 1;
+                *counts.entry(va).or_insert(0usize) += 1;
             }
         }
         // Each A-tile line is revisited once per bj: 64/16 = 4 times.

@@ -8,7 +8,7 @@
 //! gap — producing the Table II miss scaling and the Fig. 15 epoch bands.
 
 use crate::data::synthetic_digits;
-use crate::trace::{TraceBuilder, TraceOp};
+use crate::trace::{Trace, TraceOp};
 use crate::Workload;
 use gpubox_sim::{ProcessCtx, SimResult};
 use rand::{Rng, SeedableRng};
@@ -199,7 +199,7 @@ impl Workload for MlpTraining {
         "MLP"
     }
 
-    fn build(&self, ctx: &mut ProcessCtx<'_>) -> SimResult<Vec<TraceOp>> {
+    fn build(&self, ctx: &mut ProcessCtx<'_>) -> SimResult<Trace> {
         let cfg = &self.cfg;
         let (d, h, c) = (cfg.input_dim, cfg.hidden, cfg.classes);
         let home = ctx.home();
@@ -214,51 +214,44 @@ impl Workload for MlpTraining {
         let x_batch_lines = (cfg.batch * d).div_ceil(16) as u64;
         let act_lines = (cfg.batch * h).div_ceil(16) as u64;
 
-        let mut t = TraceBuilder::new();
-        for epoch in 0..cfg.epochs {
-            for _batch in 0..cfg.batches_per_epoch {
-                // Forward: X·W1 — stream the batch inputs and all of W1.
-                for l in 0..x_batch_lines {
-                    t.load(x_buf, l * 16);
-                }
-                for l in 0..w1_lines {
-                    t.load(w1_buf, l * 16);
-                }
-                for l in 0..act_lines {
-                    t.store(act_buf, l * 16, 0);
-                }
-                t.compute((cfg.batch * d * h / 256) as u64);
+        // A batch's matrix products against W1 (forward and dW1) and W2.
+        let x_w1 = TraceOp::Compute((cfg.batch * d * h / 256) as u64);
+        let h_w2 = TraceOp::Compute((cfg.batch * h * c / 256) as u64);
+        let gap = TraceOp::Compute(cfg.epoch_gap_cycles);
+        let (epochs, batches) = (cfg.epochs, cfg.batches_per_epoch);
+        // Streams `lines` lines of `buf`: loads, stores, or a
+        // read-modify-write of each line.
+        let load = move |buf, lines| (0..lines).map(move |l| TraceOp::load(buf, l * 16));
+        let store = move |buf, lines| (0..lines).map(move |l| TraceOp::store(buf, l * 16, 0));
+        let update = move |buf, lines| {
+            (0..lines)
+                .flat_map(move |l| [TraceOp::load(buf, l * 16), TraceOp::store(buf, l * 16, 0)])
+        };
+        let batch = move || {
+            // Forward: X·W1 — stream the batch inputs and all of W1.
+            load(x_buf, x_batch_lines)
+                .chain(load(w1_buf, w1_lines))
+                .chain(store(act_buf, act_lines))
+                .chain([x_w1])
                 // Forward: H·W2.
-                for l in 0..act_lines {
-                    t.load(act_buf, l * 16);
-                }
-                for l in 0..w2_lines {
-                    t.load(w2_buf, l * 16);
-                }
-                t.compute((cfg.batch * h * c / 256) as u64);
+                .chain(load(act_buf, act_lines))
+                .chain(load(w2_buf, w2_lines))
+                .chain([h_w2])
                 // Backward: dW2, dH (re-reads W2, activations).
-                for l in 0..w2_lines {
-                    t.load(w2_buf, l * 16);
-                    t.store(w2_buf, l * 16, 0);
-                }
-                for l in 0..act_lines {
-                    t.load(act_buf, l * 16);
-                }
+                .chain(update(w2_buf, w2_lines))
+                .chain(load(act_buf, act_lines))
                 // Backward: dW1 (re-reads X and updates all of W1).
-                for l in 0..x_batch_lines {
-                    t.load(x_buf, l * 16);
-                }
-                for l in 0..w1_lines {
-                    t.load(w1_buf, l * 16);
-                    t.store(w1_buf, l * 16, 0);
-                }
-                t.compute((cfg.batch * d * h / 256) as u64);
-            }
-            if epoch + 1 < cfg.epochs {
-                t.compute(cfg.epoch_gap_cycles);
-            }
-        }
-        Ok(t.finish())
+                .chain(load(x_buf, x_batch_lines))
+                .chain(update(w1_buf, w1_lines))
+                .chain([x_w1])
+        };
+        Ok(Trace::new(move || {
+            (0..epochs).flat_map(move |epoch| {
+                (0..batches)
+                    .flat_map(move |_| batch())
+                    .chain((epoch + 1 < epochs).then_some(gap))
+            })
+        }))
     }
 }
 
@@ -287,7 +280,7 @@ mod tests {
             let mut ctx = ProcessCtx::new(&mut sys, pid, 0);
             let trace = MlpTraining::with_hidden(hidden).build(&mut ctx).unwrap();
             trace
-                .iter()
+                .ops()
                 .filter(|o| matches!(o, TraceOp::Load(_) | TraceOp::Store(..)))
                 .count()
         };
@@ -311,8 +304,8 @@ mod tests {
         let gap = cfg.epoch_gap_cycles;
         let trace = MlpTraining::new(cfg).build(&mut ctx).unwrap();
         let has_gap = trace
-            .iter()
-            .any(|o| matches!(o, TraceOp::Compute(c) if *c >= gap));
+            .ops()
+            .any(|o| matches!(o, TraceOp::Compute(c) if c >= gap));
         assert!(has_gap, "two-epoch run must contain the inter-epoch gap");
     }
 }

@@ -3,9 +3,10 @@
 //! Signature: a tiny, extremely hot direction-vector table plus a pure
 //! streaming write band per dimension.
 
-use crate::trace::{TraceBuilder, TraceOp};
+use crate::trace::{Trace, TraceOp};
 use crate::Workload;
 use gpubox_sim::{ProcessCtx, SimResult};
+use std::rc::Rc;
 
 /// Sobol-like generator: `n` points in `dims` dimensions, 31 direction
 /// numbers per dimension.
@@ -42,9 +43,8 @@ impl QuasiRandom {
         let gray = i ^ (i >> 1);
         let mut acc = 0u32;
         for (bit, &d) in directions.iter().enumerate() {
-            if gray & (1 << bit) != 0 {
-                acc ^= d;
-            }
+            // Branch-free: the Gray bits are data-dependent and mispredict.
+            acc ^= d & 0u32.wrapping_sub((gray >> bit) & 1);
         }
         f64::from(acc) / f64::from(u32::MAX)
     }
@@ -61,7 +61,7 @@ impl Workload for QuasiRandom {
         "QR"
     }
 
-    fn build(&self, ctx: &mut ProcessCtx<'_>) -> SimResult<Vec<TraceOp>> {
+    fn build(&self, ctx: &mut ProcessCtx<'_>) -> SimResult<Trace> {
         let home = ctx.home();
         let table_buf = ctx.malloc_on(home, (self.dims * DIRECTION_BITS * 8) as u64)?;
         let out_buf = ctx.malloc_on(home, (self.n * self.dims * 8) as u64)?;
@@ -69,22 +69,33 @@ impl Workload for QuasiRandom {
         let flat: Vec<u64> = tables.iter().flatten().map(|&d| u64::from(d)).collect();
         ctx.write_words(table_buf, &flat)?;
 
-        let mut t = TraceBuilder::new();
-        for (d, table) in tables.iter().enumerate() {
-            for i in 0..self.n as u32 {
-                // Read the direction numbers the Gray code actually uses.
-                let gray = i ^ (i >> 1);
-                for bit in 0..DIRECTION_BITS {
-                    if gray & (1 << bit) != 0 {
-                        t.load(table_buf, (d * DIRECTION_BITS + bit) as u64);
-                    }
-                }
-                let v = Self::value(table, i);
-                t.store(out_buf, (d * self.n + i as usize) as u64, v.to_bits());
-                t.compute(2);
-            }
-        }
-        Ok(t.finish())
+        let n = self.n;
+        // Outputs are computed once, point-major within each dimension
+        // (index d * n + i); every pass streams them.
+        let values: Rc<[u64]> = tables
+            .iter()
+            .flat_map(|table| (0..n as u32).map(move |i| Self::value(table, i).to_bits()))
+            .collect();
+        Ok(Trace::new(move || {
+            let values = Rc::clone(&values);
+            (0..values.len()).flat_map(move |k| {
+                let (d, i) = (k / n, (k % n) as u32);
+                // Read the direction numbers the Gray code actually uses,
+                // lowest bit first.
+                let mut gray = (i ^ (i >> 1)) & ((1 << DIRECTION_BITS) - 1);
+                let loads = std::iter::from_fn(move || {
+                    (gray != 0).then(|| {
+                        let bit = gray.trailing_zeros() as usize;
+                        gray &= gray - 1;
+                        TraceOp::load(table_buf, (d * DIRECTION_BITS + bit) as u64)
+                    })
+                });
+                loads.chain([
+                    TraceOp::store(out_buf, k as u64, values[k]),
+                    TraceOp::Compute(2),
+                ])
+            })
+        }))
     }
 }
 
@@ -113,9 +124,9 @@ mod tests {
         let mut ctx = ProcessCtx::new(&mut sys, pid, 0);
         let trace = QuasiRandom::new(512, 2).build(&mut ctx).unwrap();
         let loads: Vec<_> = trace
-            .iter()
+            .ops()
             .filter_map(|o| match o {
-                TraceOp::Load(va) => Some(*va),
+                TraceOp::Load(va) => Some(va),
                 _ => None,
             })
             .collect();

@@ -4,9 +4,10 @@
 //! line exactly once.
 
 use crate::data::uniform_vec;
-use crate::trace::{TraceBuilder, TraceOp};
+use crate::trace::{Trace, TraceOp};
 use crate::Workload;
 use gpubox_sim::{ProcessCtx, SimResult};
+use std::rc::Rc;
 
 /// Streaming vector addition over `n` elements.
 #[derive(Debug, Clone)]
@@ -40,7 +41,7 @@ impl Workload for VectorAdd {
         "VA"
     }
 
-    fn build(&self, ctx: &mut ProcessCtx<'_>) -> SimResult<Vec<TraceOp>> {
+    fn build(&self, ctx: &mut ProcessCtx<'_>) -> SimResult<Trace> {
         let bytes = (self.n * 8) as u64;
         let home = ctx.home();
         let a_buf = ctx.malloc_on(home, bytes)?;
@@ -52,15 +53,19 @@ impl Workload for VectorAdd {
         ctx.write_words(a_buf, &a.iter().map(|v| v.to_bits()).collect::<Vec<_>>())?;
         ctx.write_words(b_buf, &b.iter().map(|v| v.to_bits()).collect::<Vec<_>>())?;
 
-        let mut t = TraceBuilder::new();
-        for i in 0..self.n as u64 {
-            t.load(a_buf, i);
-            t.load(b_buf, i);
-            let c = a[i as usize] + b[i as usize];
-            t.store(c_buf, i, c.to_bits());
-            t.compute(2);
-        }
-        Ok(t.finish())
+        // The sums are computed once; every pass streams them.
+        let c: Rc<[u64]> = a.iter().zip(&b).map(|(x, y)| (x + y).to_bits()).collect();
+        Ok(Trace::new(move || {
+            let c = Rc::clone(&c);
+            (0..c.len() as u64).flat_map(move |i| {
+                [
+                    TraceOp::load(a_buf, i),
+                    TraceOp::load(b_buf, i),
+                    TraceOp::store(c_buf, i, c[i as usize]),
+                    TraceOp::Compute(2),
+                ]
+            })
+        }))
     }
 }
 
@@ -76,11 +81,11 @@ mod tests {
         let mut ctx = ProcessCtx::new(&mut sys, pid, 0);
         let trace = VectorAdd::new(256).build(&mut ctx).unwrap();
         let loads = trace
-            .iter()
+            .ops()
             .filter(|o| matches!(o, TraceOp::Load(_)))
             .count();
         let stores = trace
-            .iter()
+            .ops()
             .filter(|o| matches!(o, TraceOp::Store(..)))
             .count();
         assert_eq!(loads, 512);
@@ -99,10 +104,10 @@ mod tests {
         let a = uniform_vec(64, -1.0, 1.0, 5);
         let b = uniform_vec(64, -1.0, 1.0, 6);
         let mut idx = 0usize;
-        for op in &trace {
+        for op in trace.ops() {
             if let TraceOp::Store(_, bits) = op {
                 let expect = a[idx] + b[idx];
-                assert_eq!(f64::from_bits(*bits), expect);
+                assert_eq!(f64::from_bits(bits), expect);
                 idx += 1;
             }
         }

@@ -4,9 +4,10 @@
 //! halving each pass — a ladder of bands in the memorygram.
 
 use crate::data::uniform_vec;
-use crate::trace::{TraceBuilder, TraceOp};
+use crate::trace::{Trace, TraceOp};
 use crate::Workload;
 use gpubox_sim::{ProcessCtx, SimResult};
+use std::rc::Rc;
 
 /// Fast Walsh–Hadamard transform over `n` (power of two) elements,
 /// repeated `passes` times (the CUDA sample transforms several vectors).
@@ -71,40 +72,49 @@ impl Workload for WalshTransform {
         "WT"
     }
 
-    fn build(&self, ctx: &mut ProcessCtx<'_>) -> SimResult<Vec<TraceOp>> {
+    fn build(&self, ctx: &mut ProcessCtx<'_>) -> SimResult<Trace> {
         let home = ctx.home();
         let buf = ctx.malloc_on(home, (self.n * 8) as u64)?;
         let mut data = uniform_vec(self.n, -1.0, 1.0, self.seed);
         ctx.write_words(buf, &data.iter().map(|v| v.to_bits()).collect::<Vec<_>>())?;
 
-        let mut t = TraceBuilder::new();
-        for _ in 0..self.passes {
-            let mut h = 1usize;
-            while h < self.n {
-                for i in (0..self.n).step_by(h * 2) {
-                    for j in (i..i + h).step_by(16) {
-                        // One 128 B line covers 16 elements of each
-                        // butterfly operand.
-                        t.load(buf, j as u64);
-                        t.load(buf, (j + h) as u64);
-                        t.store(buf, j as u64, 0);
-                        t.store(buf, (j + h) as u64, 0);
-                        t.compute(4);
-                    }
-                }
-                h *= 2;
-            }
-        }
         // Real math once per pass (values, not addresses, for correctness
         // tests).
         for _ in 0..self.passes {
             Self::transform(&mut data);
         }
-        // Final result written back (line-granular).
-        for j in (0..self.n).step_by(16) {
-            t.store(buf, j as u64, data[j].to_bits());
-        }
-        Ok(t.finish())
+        let finals: Rc<[u64]> = data.iter().step_by(16).map(|v| v.to_bits()).collect();
+        let (n, passes) = (self.n, self.passes);
+        let levels = n.trailing_zeros() as usize;
+        Ok(Trace::new(move || {
+            let finals = Rc::clone(&finals);
+            // Butterfly stride h = 2^level. A pass at stride h covers the
+            // blocks i = 0, 2h, 4h, ... and, in each, the operands
+            // j = i, i + 16, ... < i + h: one 128 B line covers 16
+            // elements of each operand.
+            (0..passes * levels)
+                .flat_map(move |step| {
+                    let h = 1usize << (step % levels);
+                    // Operands per block: a power of two, so q splits
+                    // into (block, operand) by shift and mask.
+                    let per_block = h.div_ceil(16);
+                    let shift = per_block.trailing_zeros();
+                    (0..n / (2 * h) * per_block).flat_map(move |q| {
+                        let j = (q >> shift) * 2 * h + (q & (per_block - 1)) * 16;
+                        [
+                            TraceOp::load(buf, j as u64),
+                            TraceOp::load(buf, (j + h) as u64),
+                            TraceOp::store(buf, j as u64, 0),
+                            TraceOp::store(buf, (j + h) as u64, 0),
+                            TraceOp::Compute(4),
+                        ]
+                    })
+                })
+                // Final result written back (line-granular).
+                .chain(
+                    (0..finals.len()).map(move |l| TraceOp::store(buf, (l * 16) as u64, finals[l])),
+                )
+        }))
     }
 }
 
@@ -141,7 +151,7 @@ mod tests {
         // Early pass pairs (j, j+16): look for a load pair 16*8 bytes apart
         // and a late pair 512*8 apart.
         let loads: Vec<u64> = trace
-            .iter()
+            .ops()
             .filter_map(|o| match o {
                 TraceOp::Load(va) => Some(va.raw()),
                 _ => None,

@@ -96,10 +96,10 @@ proptest! {
             let mut ctx = ProcessCtx::new(&mut sys, pid, 0);
             w.build(&mut ctx).unwrap()
         };
-        for op in &trace {
+        for op in trace.ops() {
             let va = match op {
-                TraceOp::Load(va) => *va,
-                TraceOp::Store(va, _) => *va,
+                TraceOp::Load(va) => va,
+                TraceOp::Store(va, _) => va,
                 TraceOp::Compute(_) => continue,
             };
             // Translation succeeds iff the address belongs to an

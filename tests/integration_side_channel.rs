@@ -139,3 +139,44 @@ fn concurrent_victims_superimpose_in_the_memorygram() {
     };
     assert!(both > solo, "superimposed activity {both} <= solo {solo}");
 }
+
+/// FNV-1a over a memorygram's set count and every sweep's miss counts.
+fn gram_digest(gram: &Memorygram) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let bytes = (gram.num_sets() as u64).to_le_bytes();
+    for &b in bytes.iter().chain(gram.sweeps().flatten()) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
+#[test]
+fn memorygrams_match_the_materialised_trace_replay() {
+    // Pinned from victims replayed out of fully built op vectors on the
+    // noisy DGX-1; generating the ops lazily must not move one cell.
+    let mut setup = SideChannelSetup::prepare(606, 64);
+    let golden: [(&dyn Workload, usize, u64, u64); 2] = [
+        (
+            &gpubox_workloads::Histogram::default(),
+            897,
+            11_832,
+            0xf66e_a39e_7a6e_0d65,
+        ),
+        (
+            &gpubox_workloads::QuasiRandom::default(),
+            4_587,
+            21_752,
+            0xc80f_272f_436d_9943,
+        ),
+    ];
+    for (w, sweeps, misses, digest) in golden {
+        let gram = capture(&mut setup, w);
+        assert_eq!(
+            (gram.num_sweeps(), gram.total_misses(), gram_digest(&gram)),
+            (sweeps, misses, digest),
+            "{} memorygram moved",
+            w.name()
+        );
+    }
+}
