@@ -11,6 +11,10 @@
 //!   (`local_l2_access_contended4`) and the 8-agent contended noisy warp
 //!   path, which loads the contention-pressure trackers
 //!   (`warp_batch_noisy_contended8`);
+//! - the side channel's remote sweep: a remote spy's warp batches
+//!   interleaved with a local victim's scalar loads on the home GPU, so
+//!   its L2 pressure tracker sees two agents
+//!   (`remote_sweep_with_local_victim`);
 //! - batched probes: the allocating wrapper, the caller-buffer batch path
 //!   and an equivalent loop of scalar accesses (`warp_batch_probe_16`,
 //!   `warp_batch_into_16`, `warp_loop_scalar_16`);
@@ -226,6 +230,35 @@ fn bench_access_path(c: &mut Criterion) {
                 hits += u32::from(acc.oracle.hit);
             }
             hits
+        })
+    });
+
+    // The side channel's shape on the default noisy config: a spy on GPU1
+    // sweeps 16-line remote batches into GPU0 every 1,000 cycles while a
+    // local victim on GPU0 issues two scalar loads per interval, the
+    // first behind the batch's newest line. GPU0's L2 pressure tracker
+    // sees both agents; its NVLink tracker sees the spy's lines.
+    let mut vsys = MultiGpuSystem::new(SystemConfig::dgx1());
+    let victim = vsys.create_process(GpuId::new(0));
+    let vagent = vsys.default_agent(victim);
+    let vbuf = vsys.malloc_on(victim, GpuId::new(0), 1 << 20).unwrap();
+    let vspy = vsys.create_process(GpuId::new(1));
+    vsys.enable_peer_access(vspy, GpuId::new(0)).unwrap();
+    let vspy_agent = vsys.default_agent(vspy);
+    let vspy_buf = vsys.malloc_on(vspy, GpuId::new(0), 1 << 20).unwrap();
+    let sweep: Vec<_> = (0..16u64).map(|i| vspy_buf.offset(i * 128)).collect();
+    let mut vlat: Vec<u32> = Vec::with_capacity(16);
+    let mut vt = 0u64;
+    c.bench_function("remote_sweep_with_local_victim", |b| {
+        b.iter(|| {
+            vt += 1000;
+            vlat.clear();
+            vsys.access_batch_into(vspy, vspy_agent, &sweep, vt, &mut vlat)
+                .unwrap();
+            for at in [vt + 200, vt + 600] {
+                vsys.access(victim, vagent, vbuf.offset(at % 8192 * 128), at, None)
+                    .unwrap();
+            }
         })
     });
 }

@@ -5,11 +5,26 @@
 //! access without the timed fabric, the home GPU's NVLink tracker) for
 //! the pressure it sees, then records itself. The model is defined by a
 //! scan of the window from the newest arrival backwards;
-//! [`PressureTracker`] returns the scan's number for every input without
-//! scanning, and the scan itself is this module's test oracle.
+//! [`PressureTracker`] returns the scan's number for every input from
+//! one pass over the live agents, and the scan itself is this module's
+//! test oracle.
+//!
+//! **Why one pass over the agents is exact.** The rear scan walks back
+//! from the newest kept arrival and stops at the first one older than
+//! `cutoff = now - window`; it counts agent A exactly when it reaches
+//! A's latest arrival, since every earlier arrival of A lies further
+//! back. It reaches that arrival iff (1) the arrival is still kept, and
+//! (2) no kept arrival from it onward is older than the cutoff. Every
+//! arrival after a kept one is kept too (trimming only drops the
+//! front), so (2) reads `suffix_min ≥ cutoff`, where `suffix_min` is
+//! the smallest timestamp among A's latest arrival and everything
+//! recorded after it. `record` maintains it for every agent: a new
+//! arrival of B restarts B's at `now` and lowers every other agent's to
+//! at most `now`. Condition (1) is `seq ≥ head`. Front trimming changes
+//! neither value for an agent whose latest arrival stays kept, so
+//! `pressure` just counts the non-caller agents meeting both.
 
 use crate::system::AgentId;
-use std::collections::VecDeque;
 
 /// Hard bound on the arrivals a tracker keeps (memory stays bounded even
 /// if agent clocks go backwards between agents).
@@ -28,111 +43,111 @@ const PRESSURE_WINDOW_CAP: usize = 4096;
 /// other), so the walk can stop before entries that are themselves in
 /// the window, and the trim can leave stale entries behind a fresh front.
 ///
-/// **Why the incremental answer is exact.** Number the arrivals with a
-/// sequence counter. Let `i` be the last arrival with `t < cutoff`: the
-/// scan passes exactly the arrivals after `i`. Every arrival after `i`
-/// has `t ≥ cutoff > t_i`, so `i` is a *strict suffix minimum* — smaller
-/// than everything after it. `minima` keeps all strict suffix minima,
-/// oldest first; their timestamps strictly increase, so those below
-/// `cutoff` form a prefix and its last element is `i`
-/// (`partition_point`). An agent was passed by the scan iff its latest
-/// arrival comes after `i`, so the answer is the number of non-caller
-/// agents in `last_seen` whose sequence number exceeds `i`'s (or, when no
-/// kept arrival is older than the cutoff, is at least the oldest kept
-/// one's). Front trimming drops stale entries from `minima` (they are its
-/// oldest): an arrival that leaves the front never changes which later
-/// arrivals are suffix minima. An agent whose arrivals have all left
-/// keeps its `last_seen` entry until the next new agent arrives, but its
-/// sequence number is below every kept one, so it is never counted.
-///
-/// `pressure` costs O(log window + live agents) and `record` amortised
-/// O(live agents) — against O(window · agents) for the scan. Nothing is
-/// allocated up front: buffers grow to the steady-state window on first
-/// use and are never shrunk, so a warm loop allocates nothing.
+/// Both `pressure` and `record` cost O(live agents) with no search (the
+/// module docs prove the count exact), against O(window · agents) for
+/// the scan. Nothing is allocated up front: the ring and the agent list
+/// grow to the steady-state window on first use and are never shrunk,
+/// so a warm loop allocates nothing.
 #[derive(Debug, Default)]
 pub(crate) struct PressureTracker {
-    /// Arrival timestamps, oldest first. The arrival at index `k` has
-    /// sequence number `next_seq - times.len() + k`.
-    times: VecDeque<u64>,
-    /// `(timestamp, sequence)` of every strict suffix minimum of
-    /// `times`, oldest first; strictly increasing in both fields.
-    minima: VecDeque<(u64, u64)>,
-    /// `(agent, sequence of its latest arrival)` for every agent with an
-    /// arrival still in `times`, plus agents that left since the last new
-    /// agent arrived.
-    last_seen: Vec<(u32, u64)>,
+    /// Arrival timestamps, the arrival with sequence number `s` at
+    /// `ring[s % ring.len()]`. Its length is zero or a power of two and
+    /// doubles when every slot holds a kept arrival.
+    ring: Vec<u64>,
+    /// Sequence number of the oldest kept arrival.
+    head: u64,
     /// Sequence number of the next arrival.
     next_seq: u64,
+    /// Every agent with an arrival still kept, plus agents that left
+    /// since the last new agent arrived.
+    last_seen: Vec<Seen>,
+}
+
+/// One agent's entry in [`PressureTracker::last_seen`].
+#[derive(Debug, Clone, Copy)]
+struct Seen {
+    agent: u32,
+    /// Sequence number of the agent's latest arrival.
+    seq: u64,
+    /// Smallest timestamp among that arrival and every later one.
+    suffix_min: u64,
 }
 
 impl PressureTracker {
-    /// Sequence number of the oldest kept arrival.
-    fn head(&self) -> u64 {
-        self.next_seq - self.times.len() as u64
+    /// Number of kept arrivals.
+    fn kept(&self) -> usize {
+        (self.next_seq - self.head) as usize
+    }
+
+    /// Ring index of the arrival with sequence number `seq`.
+    fn slot(&self, seq: u64) -> usize {
+        seq as usize & (self.ring.len() - 1)
     }
 
     /// Forgets every arrival (buffers keep their capacity).
     pub(crate) fn clear(&mut self) {
-        self.times.clear();
-        self.minima.clear();
+        self.head = self.next_seq;
         self.last_seen.clear();
     }
 
     /// Records an arrival of `agent` at `now`, then trims arrivals older
     /// than `now - window` from the front and caps the history.
     pub(crate) fn record(&mut self, now: u64, agent: AgentId, window: u64) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.times.push_back(now);
-        while matches!(self.minima.back(), Some(&(t, _)) if t >= now) {
-            self.minima.pop_back();
+        if self.kept() == self.ring.len() {
+            self.grow();
         }
-        self.minima.push_back((now, seq));
-        match self.last_seen.iter_mut().find(|(a, _)| *a == agent.0) {
-            Some(entry) => entry.1 = seq,
-            None => {
-                // Agents whose arrivals all left the history are dropped
-                // here, so departed agents never accumulate.
-                let head = self.head();
-                self.last_seen.retain(|&(_, s)| s >= head);
-                self.last_seen.push((agent.0, seq));
+        let seq = self.next_seq;
+        let slot = self.slot(seq);
+        self.ring[slot] = now;
+        self.next_seq += 1;
+
+        let mut found = false;
+        for e in &mut self.last_seen {
+            if e.agent == agent.0 {
+                e.seq = seq;
+                e.suffix_min = now;
+                found = true;
+            } else {
+                e.suffix_min = e.suffix_min.min(now);
             }
+        }
+        if !found {
+            // Agents whose arrivals all left the history are dropped
+            // here, so departed agents never accumulate.
+            let head = self.head;
+            self.last_seen.retain(|e| e.seq >= head);
+            self.last_seen.push(Seen {
+                agent: agent.0,
+                seq,
+                suffix_min: now,
+            });
         }
 
         let cutoff = now.saturating_sub(window);
-        let len = self.times.len();
-        while matches!(self.times.front(), Some(&t) if t < cutoff) {
-            self.times.pop_front();
+        while self.head < self.next_seq && self.ring[self.slot(self.head)] < cutoff {
+            self.head += 1;
         }
-        while self.times.len() > PRESSURE_WINDOW_CAP {
-            self.times.pop_front();
+        let capped = self.next_seq.saturating_sub(PRESSURE_WINDOW_CAP as u64);
+        self.head = self.head.max(capped);
+    }
+
+    /// Doubles the ring, moving every kept arrival to its new slot.
+    fn grow(&mut self) {
+        let mut ring = vec![0; (2 * self.ring.len()).max(8)];
+        let mask = ring.len() - 1;
+        for seq in self.head..self.next_seq {
+            ring[seq as usize & mask] = self.ring[self.slot(seq)];
         }
-        if self.times.len() < len {
-            let head = self.head();
-            while matches!(self.minima.front(), Some(&(_, s)) if s < head) {
-                self.minima.pop_front();
-            }
-        }
+        self.ring = ring;
     }
 
     /// The number of distinct agents other than `agent` that the rear
-    /// scan of the window ending at `now` passes (see the type docs).
+    /// scan of the window ending at `now` passes (see the module docs).
     pub(crate) fn pressure(&self, now: u64, agent: AgentId, window: u64) -> u32 {
-        // Nobody else in the history (a lone prober): skip the search.
-        match self.last_seen[..] {
-            [] => return 0,
-            [(a, _)] if a == agent.0 => return 0,
-            _ => {}
-        }
         let cutoff = now.saturating_sub(window);
-        let stale = self.minima.partition_point(|&(t, _)| t < cutoff);
-        let first = match stale {
-            0 => self.head(),
-            k => self.minima[k - 1].1 + 1,
-        };
         self.last_seen
             .iter()
-            .filter(|&&(a, s)| s >= first && a != agent.0)
+            .filter(|e| e.agent != agent.0 && e.seq >= self.head && e.suffix_min >= cutoff)
             .count() as u32
     }
 }
@@ -141,6 +156,7 @@ impl PressureTracker {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::VecDeque;
 
     /// The model itself: a rear scan of the window with a distinct-agent
     /// scratch list. The oracle for [`PressureTracker`].
@@ -278,7 +294,7 @@ mod tests {
                 }
             }
             prop_assert_eq!(
-                fast.times.len(),
+                fast.kept(),
                 oracle.recent.len(),
                 "step {}: history length",
                 i
@@ -288,6 +304,33 @@ mod tests {
             }
         }
         Ok(())
+    }
+
+    /// The side channel's shape: agent 0 issues warp batches — runs of
+    /// 16 arrivals at +24 cycles, one run about every 1,000 cycles — and
+    /// 1–3 other agents drop scalar arrivals, up to `jitter` behind agent
+    /// 0's clock, between the lines of a run.
+    fn batch_runs(jitter: u64) -> impl Strategy<Value = Vec<(u8, u32, u64, u64)>> {
+        (1u32..=3)
+            .prop_flat_map(move |others| {
+                let scalar = (0u64..16, 1..=others, 0..jitter);
+                prop::collection::vec((600u64..1400, prop::collection::vec(scalar, 0..5)), 1..150)
+            })
+            .prop_map(move |rounds| {
+                let mut raw = Vec::new();
+                for (gap, mut scalars) in rounds {
+                    scalars.sort_unstable_by_key(|&(line, _, _)| line);
+                    let mut scalars = scalars.into_iter().peekable();
+                    for line in 0..16 {
+                        while let Some((_, agent, lag)) = scalars.next_if(|s| s.0 == line) {
+                            raw.push((0, agent, 0, jitter - lag));
+                        }
+                        let stride = if line == 0 { gap } else { 24 };
+                        raw.push((0, 0, stride, jitter));
+                    }
+                }
+                raw
+            })
     }
 
     /// Windows from "shorter than the jitter" through the default 2,000
@@ -319,6 +362,13 @@ mod tests {
         ) {
             check_agreement(&raw, 97, 2500, window, 2)?;
         }
+
+        /// Warp-batch runs with lagging scalar arrivals at the default
+        /// 2,000-cycle window: both GPU trackers' load in the side channel.
+        #[test]
+        fn agrees_with_scan_on_batch_runs(raw in batch_runs(2500)) {
+            check_agreement(&raw, 4, 2500, 2000, 0)?;
+        }
     }
 
     proptest! {
@@ -335,6 +385,16 @@ mod tests {
         ) {
             check_agreement(&raw, 9, 3000, window, 0)?;
         }
+    }
+
+    #[test]
+    fn cap_bounds_the_ring() {
+        let mut t = PressureTracker::default();
+        for i in 0..10_000 {
+            t.record(i, AgentId((i % 3) as u32), 20_000);
+        }
+        assert_eq!(t.kept(), PRESSURE_WINDOW_CAP);
+        assert!(t.ring.len() <= 2 * PRESSURE_WINDOW_CAP, "{}", t.ring.len());
     }
 
     #[test]
