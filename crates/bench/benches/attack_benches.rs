@@ -4,10 +4,11 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use gpubox_attacks::covert::bits_from_bytes;
 use gpubox_attacks::{
-    classify_pages, discover_conflicts, transmit, ChannelParams, Locality, ScanConfig, Thresholds,
+    classify_pages, discover_conflicts, transmit_over, BoundaryPolicy, ChannelParams, Locality,
+    Pipeline, ScanConfig, Thresholds,
 };
 use gpubox_bench::AttackSetup;
-use gpubox_sim::{GpuId, MultiGpuSystem, ProcessCtx, SystemConfig, VirtAddr};
+use gpubox_sim::{GpuId, MultiGpuSystem, ProcessCtx, SchedulerKind, SystemConfig, VirtAddr};
 
 fn bench_discovery(c: &mut Criterion) {
     c.bench_function("discover_conflicts_64_pages", |b| {
@@ -55,16 +56,18 @@ fn bench_covert(c: &mut Criterion) {
     let mut setup = AttackSetup::prepare(2);
     let pairs = setup.aligned_pairs(4);
     let payload = bits_from_bytes(b"criterion covert payload");
+    let medium = setup.medium(&pairs);
+    let params = ChannelParams::default();
+    let vote = Pipeline::vote(BoundaryPolicy::TwoMeans);
     c.bench_function("covert_transmit_24B_4sets", |b| {
         b.iter(|| {
-            transmit(
+            transmit_over(
                 &mut setup.sys,
-                setup.trojan,
-                setup.spy,
-                &pairs,
+                &medium,
                 &payload,
-                &ChannelParams::default(),
-                setup.thresholds,
+                &params,
+                &vote,
+                SchedulerKind::Auto,
             )
             .unwrap()
         })

@@ -5,8 +5,9 @@
 //! this quantifies how load-bearing the alignment protocol is.
 
 use gpubox_attacks::covert::bits_from_bytes;
-use gpubox_attacks::{transmit, ChannelParams, SetPair};
+use gpubox_attacks::{transmit_over, BoundaryPolicy, ChannelParams, Pipeline, SetPair};
 use gpubox_bench::{report, AttackSetup};
+use gpubox_sim::SchedulerKind;
 
 fn main() {
     report::header(
@@ -17,16 +18,17 @@ fn main() {
     let pairs = setup.aligned_pairs(8);
     let payload = bits_from_bytes(b"alignment ablation payload 0123456789");
     let params = ChannelParams::default();
+    let vote = Pipeline::vote(BoundaryPolicy::TwoMeans);
 
     // Aligned: the real protocol output.
-    let aligned = transmit(
+    let medium = setup.medium(&pairs[..2]);
+    let aligned = transmit_over(
         &mut setup.sys,
-        setup.trojan,
-        setup.spy,
-        &pairs[..2],
+        &medium,
         &payload,
         &params,
-        setup.thresholds,
+        &vote,
+        SchedulerKind::Auto,
     )
     .expect("aligned transmission");
 
@@ -42,14 +44,14 @@ fn main() {
             spy: pairs[3].spy.clone(),
         },
     ];
-    let misaligned = transmit(
+    let medium = setup.medium(&misaligned_pairs);
+    let misaligned = transmit_over(
         &mut setup.sys,
-        setup.trojan,
-        setup.spy,
-        &misaligned_pairs,
+        &medium,
         &payload,
         &params,
-        setup.thresholds,
+        &vote,
+        SchedulerKind::Auto,
     )
     .expect("misaligned transmission");
 

@@ -6,7 +6,7 @@
 
 use gpubox_attacks::covert::bits_from_bytes;
 use gpubox_attacks::mitigation::{typical_noise_kernel, ExclusiveOccupancy};
-use gpubox_attacks::ChannelParams;
+use gpubox_attacks::{BoundaryPolicy, ChannelParams, ChannelReport, Pipeline, Transmission};
 use gpubox_bench::{report, AttackSetup};
 use gpubox_sim::{Agent, Engine, GpuId, NoiseAgent, NoiseConfig};
 
@@ -14,7 +14,17 @@ use gpubox_sim::{Agent, Engine, GpuId, NoiseAgent, NoiseConfig};
 /// engine agent hammering the tenant's buffer, like a real grid.
 const NOISE_BLOCKS: usize = 8;
 
-fn run_with_noise(setup: &mut AttackSetup, noise_active: bool, payload: &[u8]) -> f64 {
+/// Golden `(bit_errors, fnv1a(received))` per condition — quiet,
+/// noisy, mitigated — captured at commit 5dbd860, before the
+/// transmission moved onto the shared staged path. Any drift is a
+/// regression.
+const GOLDEN: [(usize, u64); 3] = [
+    (4, 0x9950_be8d_f7fb_7a9c),
+    (112, 0xaf19_619a_1fdf_4b78),
+    (4, 0x9950_be8d_f7fb_7a9c),
+];
+
+fn run_with_noise(setup: &mut AttackSetup, noise_active: bool, payload: &[u8]) -> ChannelReport {
     let pairs = setup.aligned_pairs(4);
     // The noise tenant owns a 2 MiB buffer on the target GPU.
     let noise_pid = setup.sys.create_process(GpuId::new(0));
@@ -41,48 +51,21 @@ fn run_with_noise(setup: &mut AttackSetup, noise_active: bool, payload: &[u8]) -
             Box::new(a) as Box<dyn Agent>
         })
         .collect();
-    transmit_with_extra(setup, &pairs, payload, blocks)
-}
-
-/// Like `gpubox_attacks::transmit`, but with an extra background agent —
-/// composed from the same public agent types.
-fn transmit_with_extra(
-    setup: &mut AttackSetup,
-    pairs: &[gpubox_attacks::SetPair],
-    payload: &[u8],
-    extra: Vec<Box<dyn Agent>>,
-) -> f64 {
-    use gpubox_attacks::covert::{
-        decode_trace, stripe_bits, unstripe_bits, SpyProbeAgent, TrojanAgent,
-    };
+    // The channel's lanes first, the noise blocks after them: the
+    // engine breaks clock ties by insertion order.
+    let medium = setup.medium(&pairs);
     let params = ChannelParams::default();
-    let k = pairs.len();
-    let stripes = stripe_bits(payload, k);
-    let max_frame = stripes.iter().map(Vec::len).max().unwrap_or(0) + params.preamble_bits;
-    let listen = (max_frame as u64 + 4) * params.slot_cycles;
+    let vote = Pipeline::vote(BoundaryPolicy::TwoMeans);
+    let mut tx =
+        Transmission::prepare(&mut setup.sys, &medium, payload, &params, &vote).expect("prepare");
     let mut eng = Engine::new(&mut setup.sys);
-    let mut traces = Vec::new();
-    for (i, pair) in pairs.iter().enumerate() {
-        let frame = params.frame(&stripes[i]);
-        let trojan = TrojanAgent::new(setup.trojan, &pair.trojan, frame, &params);
-        let spy = SpyProbeAgent::new(setup.spy, &pair.spy, setup.thresholds, &params, listen);
-        traces.push(spy.trace());
-        eng.add_agent(Box::new(spy), 0);
-        eng.add_agent(Box::new(trojan), params.slot_cycles / 2 + 37 * i as u64);
-    }
-    for a in extra {
+    tx.install(&mut eng, 0);
+    for a in blocks {
         eng.add_agent(a, 0);
     }
-    eng.run(listen + 16 * params.slot_cycles)
-        .expect("engine run");
-    let decoded: Vec<Vec<u8>> = traces
-        .iter()
-        .enumerate()
-        .map(|(i, t)| decode_trace(&t.samples(), &params, stripes[i].len()).payload)
-        .collect();
-    let received = unstripe_bits(&decoded, payload.len());
-    let errors = received.iter().zip(payload).filter(|(a, b)| a != b).count();
-    errors as f64 / payload.len() as f64
+    let end = eng.run(tx.grace_end()).expect("engine run");
+    drop(eng);
+    tx.report(&setup.sys, end)
 }
 
 fn main() {
@@ -108,19 +91,23 @@ fn main() {
             ExclusiveOccupancy::establish(&mut setup.sys, GpuId::new(0), 32).expect("saturate SMs");
         let blocked = occ.excludes(&setup.sys, &typical_noise_kernel());
         assert!(blocked, "mitigation must block the noise kernel");
-        let err = run_with_noise(&mut setup, !blocked, &payload);
+        let rep = run_with_noise(&mut setup, !blocked, &payload);
         occ.release(&mut setup.sys);
-        err
+        rep
     };
 
-    let rows = vec![
-        ("quiet GPU".to_string(), format!("{:.2}%", quiet * 100.0)),
-        ("noisy tenant".to_string(), format!("{:.2}%", noisy * 100.0)),
-        (
-            "noisy tenant + mitigation".to_string(),
-            format!("{:.2}%", mitigated * 100.0),
-        ),
-    ];
+    let reports = [quiet, noisy, mitigated];
+    let got: Vec<(usize, u64)> = reports
+        .iter()
+        .map(|r| (r.bit_errors, report::fnv1a_bits(&r.received)))
+        .collect();
+    assert_eq!(got, GOLDEN, "decoded streams diverged from the golden");
+    let labels = ["quiet GPU", "noisy tenant", "noisy tenant + mitigation"];
+    let rows: Vec<(String, String)> = labels
+        .iter()
+        .zip(&reports)
+        .map(|(l, r)| (l.to_string(), format!("{:.2}%", r.error_rate * 100.0)))
+        .collect();
     report::table2("condition", "bit error rate", &rows);
     println!(
         "\nthe mitigation launches idle thread blocks that consume the other\n\

@@ -6,8 +6,9 @@
 //! majority voting; long slots are robust but slow.
 
 use gpubox_attacks::covert::bits_from_bytes;
-use gpubox_attacks::{transmit, ChannelParams};
+use gpubox_attacks::{transmit_over, BoundaryPolicy, ChannelParams, Pipeline};
 use gpubox_bench::{report, AttackSetup};
+use gpubox_sim::SchedulerKind;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -22,20 +23,21 @@ fn main() {
     let payload_bytes: Vec<u8> = (0..400).map(|_| rng.gen()).collect();
     let payload = bits_from_bytes(&payload_bytes);
 
+    let medium = setup.medium(&pairs);
+    let vote = Pipeline::vote(BoundaryPolicy::TwoMeans);
     let mut rows = Vec::new();
     for &slot in &[1_500u64, 3_000, 6_000, 12_000, 24_000] {
         let params = ChannelParams {
             slot_cycles: slot,
             ..Default::default()
         };
-        let rep = transmit(
+        let rep = transmit_over(
             &mut setup.sys,
-            setup.trojan,
-            setup.spy,
-            &pairs,
+            &medium,
             &payload,
             &params,
-            setup.thresholds,
+            &vote,
+            SchedulerKind::Auto,
         )
         .expect("transmission");
         rows.push((

@@ -50,10 +50,9 @@
 //!
 //! Usage: `ext_detection [--threads=N] [--seed=S]`
 
-use gpubox_attacks::covert::stripe_bits;
 use gpubox_attacks::{
-    redecode_traces, BoundaryPolicy, ChannelMedium, ChannelParams, L2SetMedium, LinkChannel,
-    LinkCongestionMedium, Pipeline, TrialRunner,
+    BoundaryPolicy, ChannelParams, LinkChannel, LinkCongestionMedium, Pipeline, Transmission,
+    TrialRunner,
 };
 use gpubox_bench::{report, AttackSetup};
 use gpubox_sim::fleet::TenantId;
@@ -155,19 +154,19 @@ fn benign_agents(sys: &mut MultiGpuSystem) -> Vec<Box<dyn Agent>> {
 
 /// Steps `eng` window-by-window feeding `mon`, optionally deploying
 /// `respond` (scoped to the alarmed links) at the first alarm. Returns
-/// the deploy cycle, if any.
+/// the deploy cycle, if any, and the engine's end-of-run clock.
 fn windowed_with_respond(
     eng: &mut Engine<'_>,
     mon: &mut Monitor,
     until: u64,
     respond: Option<&QosConfig>,
-) -> Option<u64> {
+) -> (Option<u64>, u64) {
     let w = mon.config().window_cycles;
     let mut deployed = None;
     loop {
         let next = (mon.windows_observed() + 1) * w;
         let end = next.min(until);
-        eng.run(end).expect("engine run");
+        let clock = eng.run(end).expect("engine run");
         mon.observe(eng.system().stats());
         if deployed.is_none() && mon.alarmed() {
             if let Some(q) = respond {
@@ -177,7 +176,7 @@ fn windowed_with_respond(
             }
         }
         if end >= until || eng.all_done() {
-            return deployed;
+            return (deployed, clock);
         }
     }
 }
@@ -206,7 +205,7 @@ fn run_benign_monitored(
         eng.add_agent(a, 53 * i as u64);
     }
     mon.prime(eng.system().stats());
-    let deploy_cycle = windowed_with_respond(&mut eng, &mut mon, BENIGN_CYCLES, respond);
+    let (deploy_cycle, _) = windowed_with_respond(&mut eng, &mut mon, BENIGN_CYCLES, respond);
     let alarms = mon.channels_alarmed();
     drop(eng);
     BenignRun {
@@ -292,19 +291,19 @@ fn run_link_detect(
             trojan_streams: 4,
         },
     };
-    medium.prepare(&mut sys).expect("medium prepare");
+    let vote = Pipeline::vote(BoundaryPolicy::Quantile);
+    let mut tx =
+        Transmission::prepare(&mut sys, &medium, payload, &params, &vote).expect("medium prepare");
     let num_links = sys.config().topology.num_links();
     let num_gpus = sys.config().num_gpus as usize;
     let mut mon = Monitor::new(mon_cfg.clone(), num_links, num_gpus);
-    let frame = params.frame(payload);
-    let listen = ATTACK_START + (frame.len() as u64 + 4) * params.slot_cycles;
     let mut eng = Engine::new(&mut sys);
     for (i, a) in agents.into_iter().enumerate() {
         eng.add_agent(a, 53 * i as u64);
     }
-    medium.install_lane_deferred(&mut eng, 0, &frame, &params, listen, ATTACK_START);
+    tx.install(&mut eng, ATTACK_START);
     mon.prime(eng.system().stats());
-    windowed_with_respond(&mut eng, &mut mon, listen + 16 * params.slot_cycles, None);
+    windowed_with_respond(&mut eng, &mut mon, tx.grace_end(), None);
     outcome_from(&mon, params.slot_cycles)
 }
 
@@ -319,29 +318,20 @@ fn run_l2_detect(
     let mut setup = AttackSetup::prepare_fabric_qos(seed, GpuId::new(0), GpuId::new(5), QosConfig::off());
     let pairs = setup.aligned_pairs(4);
     let agents = benign_agents(&mut setup.sys);
-    let medium = L2SetMedium {
-        trojan: setup.trojan,
-        spy: setup.spy,
-        pairs: &pairs,
-        thresholds: setup.thresholds,
-    };
-    medium.prepare(&mut setup.sys).expect("medium prepare");
+    let medium = setup.medium(&pairs);
+    let vote = Pipeline::vote(BoundaryPolicy::TwoMeans);
+    let mut tx = Transmission::prepare(&mut setup.sys, &medium, payload, &params, &vote)
+        .expect("medium prepare");
     let num_links = setup.sys.config().topology.num_links();
     let num_gpus = setup.sys.config().num_gpus as usize;
     let mut mon = Monitor::new(mon_cfg.clone(), num_links, num_gpus);
-    let stripes = stripe_bits(payload, pairs.len());
-    let max_frame = stripes.iter().map(Vec::len).max().unwrap_or(0) + params.preamble_bits;
-    let listen = ATTACK_START + (max_frame as u64 + 4) * params.slot_cycles;
     let mut eng = Engine::new(&mut setup.sys);
     for (i, a) in agents.into_iter().enumerate() {
         eng.add_agent(a, 53 * i as u64);
     }
-    for (lane, stripe) in stripes.iter().enumerate() {
-        let frame = params.frame(stripe);
-        medium.install_lane_deferred(&mut eng, lane, &frame, &params, listen, ATTACK_START);
-    }
+    tx.install(&mut eng, ATTACK_START);
     mon.prime(eng.system().stats());
-    windowed_with_respond(&mut eng, &mut mon, listen + 16 * params.slot_cycles, None);
+    windowed_with_respond(&mut eng, &mut mon, tx.grace_end(), None);
     outcome_from(&mon, params.slot_cycles)
 }
 
@@ -389,30 +379,22 @@ fn run_link_respond(arm: Arm, payload: &[u8], seed: u64) -> RespondOutcome {
             trojan_streams: 4,
         },
     };
-    medium.prepare(&mut sys).expect("medium prepare");
+    let vote = Pipeline::vote(BoundaryPolicy::Quantile);
+    let mut tx =
+        Transmission::prepare(&mut sys, &medium, payload, &params, &vote).expect("medium prepare");
     let num_links = sys.config().topology.num_links();
     let num_gpus = sys.config().num_gpus as usize;
     let mut mon = Monitor::new(MonitorConfig::default(), num_links, num_gpus);
-    let frame = params.frame(payload);
-    let listen = ATTACK_START + (frame.len() as u64 + 4) * params.slot_cycles;
     let mut eng = Engine::new(&mut sys);
-    let trace = medium.install_lane_deferred(&mut eng, 0, &frame, &params, listen, ATTACK_START);
+    tx.install(&mut eng, ATTACK_START);
     mon.prime(eng.system().stats());
     let respond_qos = full_qos();
     let respond = matches!(arm, Arm::Responsive).then_some(&respond_qos);
-    let deploy_cycle =
-        windowed_with_respond(&mut eng, &mut mon, listen + 16 * params.slot_cycles, respond);
+    let (deploy_cycle, end) = windowed_with_respond(&mut eng, &mut mon, tx.grace_end(), respond);
     let alarmed = mon.alarmed();
     drop(eng);
-    let (received, _) = redecode_traces(
-        &[trace.samples()],
-        &params,
-        &Pipeline::vote(BoundaryPolicy::Quantile),
-        payload.len(),
-    );
-    let bit_errors = received.iter().zip(payload).filter(|(a, b)| a != b).count();
     RespondOutcome {
-        bit_errors,
+        bit_errors: tx.report(&sys, end).bit_errors,
         deploy_cycle,
         alarmed,
     }
@@ -453,7 +435,9 @@ fn run_fleet_health(payload: &[u8], seed: u64) -> (MetricSet, Vec<(u32, u64)>, u
             trojan_streams: 4,
         },
     };
-    medium.prepare(&mut sys1).expect("medium prepare");
+    let vote = Pipeline::vote(BoundaryPolicy::Quantile);
+    let mut tx =
+        Transmission::prepare(&mut sys1, &medium, payload, &params, &vote).expect("medium prepare");
 
     let num_links = sys0.config().topology.num_links();
     let num_gpus = sys0.config().num_gpus as usize;
@@ -468,9 +452,7 @@ fn run_fleet_health(payload: &[u8], seed: u64) -> (MetricSet, Vec<(u32, u64)>, u
     for (i, a) in agents1.into_iter().enumerate() {
         eng1.add_agent(a, 53 * i as u64);
     }
-    let frame = params.frame(payload);
-    let listen = ATTACK_START + (frame.len() as u64 + 4) * params.slot_cycles;
-    medium.install_lane_deferred(&mut eng1, 0, &frame, &params, listen, ATTACK_START);
+    tx.install(&mut eng1, ATTACK_START);
 
     fleet.node_mut(0).prime(eng0.system().stats());
     fleet.node_mut(1).prime(eng1.system().stats());

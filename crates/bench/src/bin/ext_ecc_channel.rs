@@ -19,8 +19,7 @@
 use gpubox_attacks::covert::bits_from_bytes;
 use gpubox_attacks::covert::ecc::ECC_RATE;
 use gpubox_attacks::{
-    redecode_traces, transmit, transmit_over, BoundaryPolicy, ChannelMedium, ChannelParams,
-    Coding, L2SetMedium, Pipeline,
+    redecode_traces, transmit_over, BoundaryPolicy, ChannelParams, Coding, Pipeline,
 };
 use gpubox_bench::{report, AttackSetup};
 use gpubox_sim::SchedulerKind;
@@ -41,31 +40,23 @@ fn main() {
 
     let mut rows = Vec::new();
     for &k in &[4usize, 8, 16] {
-        // Raw transmission (the medium's default pipeline, no coding).
-        let raw = transmit(
+        // Raw transmission (the channel's 2-means vote, no coding).
+        let medium = setup.medium(&pairs[..k]);
+        let vote = Pipeline::vote(BoundaryPolicy::TwoMeans);
+        let raw = transmit_over(
             &mut setup.sys,
-            setup.trojan,
-            setup.spy,
-            &pairs[..k],
+            &medium,
             &data_bits,
             &params,
-            setup.thresholds,
+            &vote,
+            SchedulerKind::Auto,
         )
         .expect("raw transmission");
 
         // The same medium with a coding stage: Hamming(7,4) behind a
         // depth-64 block interleaver, so congestion bursts spread over
         // many codewords before single-error correction runs.
-        let medium = L2SetMedium {
-            trojan: setup.trojan,
-            spy: setup.spy,
-            pairs: &pairs[..k],
-            thresholds: setup.thresholds,
-        };
-        let pipeline = Pipeline {
-            decoder: medium.default_decoder(),
-            coding: Coding::Hamming74 { interleave_depth: 64 },
-        };
+        let pipeline = vote.with_coding(Coding::Hamming74 { interleave_depth: 64 });
         let coded = transmit_over(
             &mut setup.sys,
             &medium,

@@ -49,8 +49,8 @@
 //! `--payload-bits=48`).
 
 use gpubox_attacks::{
-    redecode_traces, transmit_link, transmit_over, BoundaryPolicy, ChannelParams, L2SetMedium,
-    LinkChannel, OfflineCache, Pipeline, TrialRunner,
+    redecode_traces, transmit_over, BoundaryPolicy, ChannelParams, LinkChannel,
+    LinkCongestionMedium, OfflineCache, Pipeline, TrialRunner,
 };
 use gpubox_bench::{report, AttackSetup};
 use gpubox_sim::{
@@ -165,17 +165,21 @@ fn run_link(qos: QosConfig, payload: &[u8], seed: u64) -> LinkOutcome {
     let tl: Vec<VirtAddr> = (0..32).map(|i| tb.offset(i * page)).collect();
     let sl: Vec<VirtAddr> = (0..2).map(|i| sb.offset(i * page)).collect();
     let params = link_params();
-    let rep = transmit_link(
-        &mut sys,
+    let medium = LinkCongestionMedium {
         trojan,
         spy,
-        &LinkChannel {
+        channel: LinkChannel {
             trojan_lines: &tl,
             spy_lines: &sl,
             trojan_streams: 4,
         },
+    };
+    let rep = transmit_over(
+        &mut sys,
+        &medium,
         payload,
         &params,
+        &Pipeline::vote(BoundaryPolicy::Quantile),
         SchedulerKind::Auto,
     )
     .expect("link transmission");
@@ -200,12 +204,7 @@ fn run_l2(qos: QosConfig, payload: &[u8], seed: u64) -> Result<(usize, usize), S
     let result = std::panic::catch_unwind(|| {
         let mut setup = AttackSetup::prepare_fabric_qos(seed, GpuId::new(0), GpuId::new(5), qos);
         let pairs = setup.aligned_pairs(4);
-        let medium = L2SetMedium {
-            trojan: setup.trojan,
-            spy: setup.spy,
-            pairs: &pairs,
-            thresholds: setup.thresholds,
-        };
+        let medium = setup.medium(&pairs);
         let rep = transmit_over(
             &mut setup.sys,
             &medium,
@@ -366,12 +365,7 @@ fn main() {
                 AttackSetup::prepare_with_cache(cfg, GpuId::new(0), GpuId::new(5), cache);
             let cached = setup.offline_cached;
             let pairs = setup.aligned_pairs(4);
-            let medium = L2SetMedium {
-                trojan: setup.trojan,
-                spy: setup.spy,
-                pairs: &pairs,
-                thresholds: setup.thresholds,
-            };
+            let medium = setup.medium(&pairs);
             let rep = transmit_over(
                 &mut setup.sys,
                 &medium,

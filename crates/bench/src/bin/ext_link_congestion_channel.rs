@@ -23,18 +23,18 @@
 //! runner's `parallel_matches_serial_bitwise`.
 //! The 2-hop noiseless point is the acceptance gate: its seeded payload
 //! must decode with ≤ 5% bit error, and it must match what the
-//! library-level [`gpubox_attacks::transmit_link`] produces.
+//! library-level [`gpubox_attacks::transmit_over`] produces.
 //!
 //! Usage: `ext_link_congestion_channel [--payload-bits=N] [--seed=S]`
 //! (defaults: 64 bits, seed 0x11F0; CI passes `--payload-bits=32`).
 
-use gpubox_attacks::covert::prepare_link_channel;
 use gpubox_attacks::{
-    transmit_link, BoundaryPolicy, ChannelParams, Decoder, LinkChannel, TrialRunner,
+    redecode_traces, transmit_over, BoundaryPolicy, ChannelParams, LinkChannel,
+    LinkCongestionMedium, Pipeline, TrialRunner, Transmission,
 };
 use gpubox_bench::report;
 use gpubox_sim::{
-    FabricConfig, GpuId, MultiGpuSystem, NoiseAgent, NoiseConfig, ProcessId,
+    Engine, FabricConfig, GpuId, MultiGpuSystem, NoiseAgent, NoiseConfig, ProcessId,
     SchedulerKind, SystemConfig, VirtAddr,
 };
 use rand::{Rng, SeedableRng};
@@ -168,20 +168,20 @@ fn run_point(p: Point, payload: &[u8], seed: u64) -> Outcome {
 
     // Shared library wiring (warm-up, spy, staggered trojan streams);
     // the sweep adds its background tenants on top.
-    let (mut eng, trace, listen) = prepare_link_channel(
-        &mut sys,
+    let medium = LinkCongestionMedium {
         trojan,
         spy,
-        &LinkChannel {
+        channel: LinkChannel {
             trojan_lines: &trojan_lines,
             spy_lines: &spy_lines,
             trojan_streams: p.streams,
         },
-        payload,
-        &params,
-        SchedulerKind::Auto,
-    )
-    .expect("fabric is enabled in every sweep config");
+    };
+    let vote = Pipeline::vote(BoundaryPolicy::Quantile);
+    let mut tx = Transmission::prepare(&mut sys, &medium, payload, &params, &vote)
+        .expect("fabric is enabled in every sweep config");
+    let mut eng = Engine::new(&mut sys);
+    let listen = tx.install(&mut eng, 0);
     for (i, &(pid, buf)) in tenant_bufs.iter().enumerate() {
         eng.add_agent(
             Box::new(NoiseAgent::new(
@@ -200,21 +200,16 @@ fn run_point(p: Point, payload: &[u8], seed: u64) -> Outcome {
     }
     // Run exactly to the spy's listen horizon: the spy has stopped and
     // the trojan's frame has drained by then, while the grace period
-    // transmit() grants would only let the never-finishing noise
+    // grace_end() grants would only let the never-finishing noise
     // tenants keep accruing link traffic outside the measured window.
-    eng.run(listen).unwrap();
+    let end = eng.run(listen).unwrap();
     drop(eng);
 
-    let samples = trace.samples();
-    // The channel's default receive stack (quantile-anchored per-sample
-    // vote) and the matched filter, decoding the *same* trace.
-    let received = Decoder::Vote(BoundaryPolicy::Quantile)
-        .decode(&samples, &params, payload.len())
-        .payload;
-    let bit_errors = received.iter().zip(payload).filter(|(a, b)| a != b).count();
-    let mf = Decoder::MatchedFilter(BoundaryPolicy::Quantile)
-        .decode(&samples, &params, payload.len())
-        .payload;
+    // The channel's quantile-anchored per-sample vote and the matched
+    // filter, decoding the *same* trace.
+    let rep = tx.report(&sys, end);
+    let mf_pipeline = Pipeline::matched_filter(BoundaryPolicy::Quantile);
+    let (mf, _) = redecode_traces(&rep.traces, &params, &mf_pipeline, payload.len());
     let mf_bit_errors = mf.iter().zip(payload).filter(|(a, b)| a != b).count();
     let shared = sys
         .config()
@@ -223,10 +218,10 @@ fn run_point(p: Point, payload: &[u8], seed: u64) -> Outcome {
         .expect("DGX-1 has a direct (1,5) link");
     let ls = *sys.link_stats(shared).unwrap();
     Outcome {
-        received,
+        received: rep.received,
         listen,
         shared_link_busy_cycles: ls.busy_cycles,
-        bit_errors,
+        bit_errors: rep.bit_errors,
         mf_bit_errors,
     }
 }
@@ -302,8 +297,8 @@ fn main() {
     }
 
     // Acceptance gate: the 2-hop noiseless saturated point decodes the
-    // seeded payload with <= 5% bit error, and the library entry point
-    // (transmit_link) produces the identical bit stream.
+    // seeded payload with <= 5% bit error, and the one-call library
+    // entry point (transmit_over) produces the identical bit stream.
     let gate = points
         .iter()
         .position(|p| {
@@ -333,23 +328,27 @@ fn main() {
         let sb = sys.malloc_on(spy, home, 2 * page).unwrap();
         let tl: Vec<VirtAddr> = (0..32).map(|i| tb.offset(i * page)).collect();
         let sl: Vec<VirtAddr> = (0..2).map(|i| sb.offset(i * page)).collect();
-        let rep = transmit_link(
-            &mut sys,
+        let medium = LinkCongestionMedium {
             trojan,
             spy,
-            &LinkChannel {
+            channel: LinkChannel {
                 trojan_lines: &tl,
                 spy_lines: &sl,
                 trojan_streams: 4,
             },
+        };
+        let rep = transmit_over(
+            &mut sys,
+            &medium,
             &payload,
             &channel_params(),
+            &Pipeline::vote(BoundaryPolicy::Quantile),
             SchedulerKind::Auto,
         )
         .expect("library transmission");
         assert_eq!(
             rep.received, outcomes[gate].received,
-            "transmit_link must reproduce the sweep's gate point"
+            "transmit_over must reproduce the sweep's gate point"
         );
     }
 

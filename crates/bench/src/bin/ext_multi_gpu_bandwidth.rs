@@ -7,16 +7,24 @@
 //! message shards concurrently; their L2s are disjoint, so aggregate
 //! bandwidth scales nearly linearly with the number of pairs.
 
-use gpubox_attacks::covert::{
-    bits_from_bytes, decode_trace, stripe_bits, unstripe_bits, SpyProbeAgent, TrojanAgent,
-};
+use gpubox_attacks::covert::{bits_from_bytes, stripe_bits, unstripe_bits};
 use gpubox_attacks::timing_re::measure_timing;
 use gpubox_attacks::{
-    align_classes, classify_pages, paired_sets, AlignmentConfig, ChannelParams, Locality,
-    ScanConfig, SetPair,
+    align_classes, classify_pages, paired_sets, AlignmentConfig, BoundaryPolicy, ChannelParams,
+    L2SetMedium, Locality, Pipeline, ScanConfig, SetPair, Transmission,
 };
 use gpubox_bench::report;
 use gpubox_sim::{Engine, GpuId, MultiGpuSystem, ProcessCtx, ProcessId, SystemConfig};
+
+/// Golden `(bit_errors, fnv1a(received))` at 1, 2, 3 and 4 GPU pairs,
+/// captured at commit 5dbd860, before the pairs' transmissions moved
+/// onto the shared staged path. Any drift is a regression.
+const GOLDEN: [(usize, u64); 4] = [
+    (51, 0x4acf_5061_a4ad_2ec4),
+    (43, 0xd7dd_7c57_cc81_2d12),
+    (43, 0x6cbc_2186_25e9_cce0),
+    (42, 0xc37c_e8a1_b794_4759),
+];
 
 /// Prepares one trojan/spy pair on (target, spy) GPUs inside a shared box.
 fn prepare_pair(
@@ -92,6 +100,7 @@ fn main() {
     );
     let gpu_pairs = [(0u8, 1u8), (2, 3), (4, 5), (6, 7)];
     let params = ChannelParams::default();
+    let vote = Pipeline::vote(BoundaryPolicy::TwoMeans);
     let payload = bits_from_bytes(&vec![0xC3u8; 600]);
     let mut rows = Vec::new();
 
@@ -103,45 +112,43 @@ fn main() {
         }
         // Shard the payload over pairs, each pair stripes over its 4 sets.
         let shards = stripe_bits(&payload, n);
-        let mut eng = Engine::new(&mut sys);
-        let mut all_traces = Vec::new();
-        let mut listen_max = 0;
-        for (pi, (trojan, spy, pairs, thr)) in endpoints.iter().enumerate() {
-            let stripes = stripe_bits(&shards[pi], pairs.len());
-            let frames: Vec<Vec<u8>> = stripes.iter().map(|st| params.frame(st)).collect();
-            let listen =
-                (frames.iter().map(Vec::len).max().unwrap() as u64 + 4) * params.slot_cycles;
-            listen_max = listen.max(listen_max);
-            let mut pair_traces = Vec::new();
-            for (i, sp) in pairs.iter().enumerate() {
-                let t = TrojanAgent::new(*trojan, &sp.trojan, frames[i].clone(), &params);
-                let s = SpyProbeAgent::new(*spy, &sp.spy, *thr, &params, listen);
-                pair_traces.push((s.trace(), stripes[i].len()));
-                eng.add_agent(Box::new(s), 0);
-                eng.add_agent(Box::new(t), params.slot_cycles / 2 + 37 * i as u64);
-            }
-            all_traces.push(pair_traces);
+        let media: Vec<L2SetMedium<'_>> = endpoints
+            .iter()
+            .map(|(trojan, spy, pairs, thr)| L2SetMedium {
+                trojan: *trojan,
+                spy: *spy,
+                pairs,
+                thresholds: *thr,
+            })
+            .collect();
+        let mut txs = Vec::new();
+        for (medium, shard) in media.iter().zip(&shards) {
+            let tx = Transmission::prepare(&mut sys, medium, shard, &params, &vote);
+            txs.push(tx.expect("prepare"));
         }
-        let end = eng
-            .run(listen_max + 16 * params.slot_cycles)
-            .expect("engine");
+        let mut eng = Engine::new(&mut sys);
+        for tx in &mut txs {
+            tx.install(&mut eng, 0);
+        }
+        let until = txs.iter().map(Transmission::grace_end).max().expect("n >= 1 pairs");
+        let end = eng.run(until).expect("engine");
+        drop(eng);
 
         // Decode shard by shard.
-        let mut decoded_shards = Vec::new();
-        for (pi, pair_traces) in all_traces.iter().enumerate() {
-            let stripes: Vec<Vec<u8>> = pair_traces
-                .iter()
-                .map(|(tr, len)| decode_trace(&tr.samples(), &params, *len).payload)
-                .collect();
-            decoded_shards.push(unstripe_bits(&stripes, shards[pi].len()));
-        }
+        let decoded_shards: Vec<Vec<u8>> =
+            txs.iter().map(|tx| tx.report(&sys, end).received).collect();
         let received = unstripe_bits(&decoded_shards, payload.len());
         let errors = received
             .iter()
             .zip(&payload)
             .filter(|(a, b)| a != b)
             .count();
-        let secs = end as f64 / 1.48e9;
+        assert_eq!(
+            (errors, report::fnv1a_bits(&received)),
+            GOLDEN[n - 1],
+            "{n} pairs: decoded stream diverged from the golden"
+        );
+        let secs = sys.latency_model().cycles_to_seconds(end);
         let bw = payload.len() as f64 / 8.0 / secs / 1e3;
         rows.push((
             n,

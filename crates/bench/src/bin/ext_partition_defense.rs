@@ -7,8 +7,9 @@
 //! processes remain attackable.
 
 use gpubox_attacks::covert::bits_from_bytes;
-use gpubox_attacks::{transmit, ChannelParams};
+use gpubox_attacks::{transmit_over, BoundaryPolicy, ChannelParams, Pipeline};
 use gpubox_bench::{report, AttackSetup};
+use gpubox_sim::SchedulerKind;
 
 fn run(partitions: Option<(u32, u32)>) -> f64 {
     let mut setup = AttackSetup::prepare(808);
@@ -22,14 +23,14 @@ fn run(partitions: Option<(u32, u32)>) -> f64 {
         setup.sys.set_cache_partition(setup.spy, sp, 2);
     }
     let payload = bits_from_bytes(b"partitioning defence check 0123456789abcdef");
-    let rep = transmit(
+    let medium = setup.medium(&pairs);
+    let rep = transmit_over(
         &mut setup.sys,
-        setup.trojan,
-        setup.spy,
-        &pairs,
+        &medium,
         &payload,
         &ChannelParams::default(),
-        setup.thresholds,
+        &Pipeline::vote(BoundaryPolicy::TwoMeans),
+        SchedulerKind::Auto,
     )
     .expect("transmission");
     rep.error_rate

@@ -60,9 +60,9 @@ impl Family {
         }
     }
 
-    /// The boundary policy for this family's latency shape — matches
-    /// the medium's `default_decoder` (pinned by the
-    /// `media_defaults_match_their_distribution_shapes` unit test).
+    /// The boundary policy for this family's latency shape: 2-means for
+    /// the Prime+Probe channel's tight hit/miss clusters, quantiles for
+    /// the congestion channel's heavy tail.
     fn boundary(self) -> BoundaryPolicy {
         match self {
             Family::L2PrimeProbe => BoundaryPolicy::TwoMeans,

@@ -14,8 +14,9 @@
 //! fingerprints.
 
 use gpubox_attacks::covert::bits_from_bytes;
-use gpubox_attacks::{transmit, ChannelParams, TrialRunner};
+use gpubox_attacks::{transmit_over, BoundaryPolicy, ChannelParams, Pipeline, TrialRunner};
 use gpubox_bench::{report, AttackSetup};
+use gpubox_sim::SchedulerKind;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
@@ -53,6 +54,7 @@ fn main() {
         "Sec. IV-C: bandwidth rises with sets, error rises too; paper best 3.95 MB/s @ 4 sets, 1.3% error",
     );
     let params = ChannelParams::default();
+    let vote = Pipeline::vote(BoundaryPolicy::TwoMeans);
 
     // Pseudo-random payload (repeatable); scaled-down stand-in for the
     // paper's 1 Mb message.
@@ -67,14 +69,14 @@ fn main() {
         TrialRunner::new(909).run_over(set_counts, |trial, k| {
             let mut setup = AttackSetup::prepare(trial.seed);
             let pairs = setup.aligned_pairs(k);
-            let rep = transmit(
+            let medium = setup.medium(&pairs[..k]);
+            let rep = transmit_over(
                 &mut setup.sys,
-                setup.trojan,
-                setup.spy,
-                &pairs[..k],
+                &medium,
                 &payload,
                 &params,
-                setup.thresholds,
+                &vote,
+                SchedulerKind::Auto,
             )
             .expect("transmission");
             (

@@ -6,8 +6,9 @@
 //! miss).
 
 use gpubox_attacks::covert::{bits_from_bytes, bytes_from_bits};
-use gpubox_attacks::{transmit, ChannelParams};
+use gpubox_attacks::{transmit_over, BoundaryPolicy, ChannelParams, Pipeline};
 use gpubox_bench::{report, AttackSetup};
+use gpubox_sim::SchedulerKind;
 
 /// Golden `(bit_errors, fnv1a(received), duration_cycles)`. Any drift is
 /// a regression. The decoded bits and their fingerprint have not changed
@@ -24,14 +25,14 @@ fn main() {
     let message = b"Hello! How are you? This message crossed two GPUs via the L2 cache.";
     let mut setup = AttackSetup::prepare(1010);
     let pairs = setup.aligned_pairs(1);
-    let rep = transmit(
+    let medium = setup.medium(&pairs);
+    let rep = transmit_over(
         &mut setup.sys,
-        setup.trojan,
-        setup.spy,
-        &pairs,
+        &medium,
         &bits_from_bytes(message),
         &ChannelParams::default(),
-        setup.thresholds,
+        &Pipeline::vote(BoundaryPolicy::TwoMeans),
+        SchedulerKind::Auto,
     )
     .expect("transmission");
 

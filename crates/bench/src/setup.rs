@@ -14,8 +14,8 @@
 use gpubox_attacks::timing_re::measure_timing;
 use gpubox_attacks::{
     align_classes, classify_pages_fast, offline_fingerprint, verify_classes_against_oracle,
-    AlignmentConfig, CacheOutcome, Locality, OfflineArtifacts, OfflineCache, PageClasses,
-    ScanConfig, SetPair, Thresholds,
+    AlignmentConfig, CacheOutcome, L2SetMedium, Locality, OfflineArtifacts, OfflineCache,
+    PageClasses, ScanConfig, SetPair, Thresholds,
 };
 use gpubox_sim::{
     FabricConfig, GpuId, MultiGpuSystem, ProcessCtx, ProcessId, QosConfig, SystemConfig,
@@ -289,6 +289,17 @@ impl AttackSetup {
             .into_iter()
             .map(|(t, s)| SetPair { trojan: t, spy: s })
             .collect()
+    }
+
+    /// The Prime+Probe medium between this setup's trojan and spy over
+    /// `pairs` (from [`AttackSetup::aligned_pairs`]).
+    pub fn medium<'p>(&self, pairs: &'p [SetPair]) -> L2SetMedium<'p> {
+        L2SetMedium {
+            trojan: self.trojan,
+            spy: self.spy,
+            pairs,
+            thresholds: self.thresholds,
+        }
     }
 }
 

@@ -4,21 +4,21 @@
 //! pairs, same channel bits, same cycle counts.
 
 use gpubox_attacks::covert::bits_from_bytes;
-use gpubox_attacks::{transmit, ChannelParams, OfflineCache};
+use gpubox_attacks::{transmit_over, BoundaryPolicy, ChannelParams, OfflineCache, Pipeline};
 use gpubox_bench::AttackSetup;
-use gpubox_sim::{GpuId, SystemConfig};
+use gpubox_sim::{GpuId, SchedulerKind, SystemConfig};
 
 fn channel_run(setup: &mut AttackSetup) -> (Vec<u8>, usize, u64) {
     let pairs = setup.aligned_pairs(4);
     let payload = bits_from_bytes(b"cache transparency probe");
-    let rep = transmit(
+    let medium = setup.medium(&pairs);
+    let rep = transmit_over(
         &mut setup.sys,
-        setup.trojan,
-        setup.spy,
-        &pairs,
+        &medium,
         &payload,
         &ChannelParams::default(),
-        setup.thresholds,
+        &Pipeline::vote(BoundaryPolicy::TwoMeans),
+        SchedulerKind::Auto,
     )
     .unwrap();
     (rep.received, rep.bit_errors, rep.duration_cycles)

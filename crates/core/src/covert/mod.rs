@@ -12,14 +12,15 @@
 //!   channel bits ──stripe──► lane frames (preamble ‖ stripe)
 //!        │                        │
 //!        │                        ▼
-//!        │              ChannelMedium::install_lane
+//!        │     Transmission: ChannelMedium::install_lane (at defer)
 //!        │            ┌───────────┴───────────┐
 //!        │        L2SetMedium          LinkCongestionMedium
 //!        │      (Prime+Probe on        (bandwidth trojan +
 //!        │       aligned L2 sets)       throughput spy on the
 //!        │                              timed NVLink fabric)
 //!        │            └───────────┬───────────┘
-//!        │                        ▼ engine run (shared slot pacing)
+//!        │                        ▼ engine run to listen + 16 grace slots
+//!        │                        │ (shared slot pacing)
 //!        │                   SpyTrace (ProbeSample stream per lane)
 //!        │                        │
 //!        │                        ▼
@@ -36,20 +37,21 @@
 //!   [`L2SetMedium`] primes/probes aligned L2 set pairs (one stripe
 //!   lane per pair, Sec. IV-B), [`LinkCongestionMedium`] saturates a
 //!   shared NVLink link and reads its own transfer latency (Sec. V, no
-//!   shared cache state). [`transmit_over`] owns everything
-//!   transport-independent: framing, striping, the listen horizon,
-//!   engine execution and reporting.
+//!   shared cache state).
+//! - **Transmission** ([`Transmission`], [`transmit_over`]): the one
+//!   transmit path, and everything transport-independent — framing,
+//!   striping, the listen horizon, agent launch order and reporting.
+//!   [`transmit_over`] stages a transmission on its own engine and
+//!   runs it; a caller that adds agents of its own (background
+//!   tenants, benign mixes), runs several transmissions in one engine,
+//!   drives the run itself (a monitor observing every window) or
+//!   defers the launch stages a [`Transmission`] on an engine it owns.
 //! - **Receive stack** ([`pipeline`]): a [`Decoder`] (per-sample
 //!   majority [`Decoder::Vote`] or soft [`Decoder::MatchedFilter`] over
 //!   slot windows) anchored by a [`BoundaryPolicy`] (2-means for tight
 //!   hit/miss clusters, quantile for the congestion channel's heavy
 //!   tail), plus an optional [`Coding`] stage folded in from [`ecc`].
 //!   Any combination runs on any medium.
-//! - **Wrappers** ([`transmit`], [`transmit_link`]): the historical
-//!   one-call entry points, now thin shims over [`transmit_over`] with
-//!   each medium's default pipeline — bit-identical to their PR 3
-//!   implementations (golden fingerprints in
-//!   `tests/channel_fingerprints.rs`).
 //! - **Resilient transport** ([`transmit_resilient`]): sequence-
 //!   numbered, CRC-protected frames with sync-loss detection and
 //!   bounded, deterministically backed-off retransmission on top of
@@ -72,12 +74,11 @@ mod protocol;
 mod resilient;
 
 pub use agents::{SpyProbeAgent, SpyTrace, TrojanAgent};
-pub use channel::{
-    prepare_link_channel, transmit, transmit_link, ChannelReport, LinkChannel, SetPair,
-};
+pub use channel::{ChannelReport, LinkChannel, SetPair};
 pub use link_agents::{LinkSpyAgent, LinkTrojanAgent, SPY_DITHER_SPAN};
 pub use medium::{
     redecode_traces, transmit_over, ChannelMedium, L2SetMedium, LinkCongestionMedium,
+    Transmission,
 };
 pub use obs::{extract_anatomy, slot_latency_histogram, ChannelAnatomy};
 pub use pipeline::{
@@ -85,8 +86,8 @@ pub use pipeline::{
     SoftStripe, CONFIDENCE_SCALE,
 };
 pub use protocol::{
-    adaptive_boundary, bits_from_bytes, bytes_from_bits, crc8_bits, decode_trace,
-    decode_trace_with_boundary, open_frame, robust_boundary, seal_frame, stripe_bits,
-    unstripe_bits, ChannelParams, DecodedStripe, ProbeSample, CRC_BITS, SEQ_BITS,
+    adaptive_boundary, bits_from_bytes, bytes_from_bits, crc8_bits, decode_trace_with_boundary,
+    open_frame, robust_boundary, seal_frame, stripe_bits, unstripe_bits, ChannelParams,
+    DecodedStripe, ProbeSample, CRC_BITS, SEQ_BITS,
 };
 pub use resilient::{transmit_resilient, ResilientReport, RetryConfig};

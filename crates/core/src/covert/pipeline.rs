@@ -3,12 +3,7 @@
 //!
 //! [`ChannelMedium`]: super::medium::ChannelMedium
 //!
-//! Historically each channel family hard-wired its own receive path:
-//! the Prime+Probe channel called `decode_trace` (2-means boundary,
-//! per-sample vote), the link-congestion channel called
-//! `robust_boundary` + `decode_trace_with_boundary`, and Hamming(7,4)
-//! coding was applied by hand in one experiment binary. This module
-//! factors those choices into three orthogonal stages so any
+//! The receive path factors into three orthogonal stages, so any
 //! combination runs on any medium:
 //!
 //! - [`BoundaryPolicy`] — how the hit/miss (idle/congested) decision
@@ -20,10 +15,11 @@
 //!   (Hamming(7,4) + block interleaving from [`super::ecc`]) applied to
 //!   the payload before striping and inverted after reassembly.
 //!
-//! A [`Pipeline`] bundles a decoder and a coding layer; the historical
-//! receive paths are [`Pipeline::vote`]`(TwoMeans)` and
-//! [`Pipeline::vote`]`(Quantile)`, and both are asserted bit-identical
-//! to the PR 3 decoders by the wrapper fingerprint tests.
+//! A [`Pipeline`] bundles a decoder and a coding layer. Each channel
+//! family's baseline receive path is a per-sample vote:
+//! [`Pipeline::vote`]`(TwoMeans)` for the Prime+Probe channel's tight
+//! hit/miss clusters, [`Pipeline::vote`]`(Quantile)` for the congestion
+//! channel's heavy tail (pinned by `tests/channel_fingerprints.rs`).
 
 use super::ecc::{deinterleave, ecc_decode, ecc_decode_soft, ecc_encode, interleave};
 use super::protocol::{
@@ -253,7 +249,8 @@ pub struct Pipeline {
 }
 
 impl Pipeline {
-    /// The PR 3 receive path: per-sample vote, no coding.
+    /// Per-sample vote, no coding: each channel family's baseline
+    /// receive path.
     pub fn vote(policy: BoundaryPolicy) -> Self {
         Pipeline {
             decoder: Decoder::Vote(policy),
@@ -431,7 +428,7 @@ pub fn matched_filter_decode_soft(
 
 #[cfg(test)]
 mod tests {
-    use super::super::protocol::{bits_from_bytes, decode_trace};
+    use super::super::protocol::bits_from_bytes;
     use super::*;
 
     fn synth_samples(
@@ -454,22 +451,6 @@ mod tests {
             }
         }
         out
-    }
-
-    #[test]
-    fn vote_two_means_is_decode_trace() {
-        let params = ChannelParams::default();
-        let payload = bits_from_bytes(b"same");
-        let frame = params.frame(&payload);
-        let mut samples = synth_samples(&frame, params.slot_cycles, 700, 4, 950, 630);
-        for (i, s) in samples.iter_mut().enumerate() {
-            if i % 11 == 0 {
-                s.mean_latency = 1600; // outliers in both decoders' input
-            }
-        }
-        let via_stack = Decoder::Vote(BoundaryPolicy::TwoMeans).decode(&samples, &params, payload.len());
-        let via_legacy = decode_trace(&samples, &params, payload.len());
-        assert_eq!(via_stack, via_legacy);
     }
 
     #[test]

@@ -268,23 +268,15 @@ pub struct DecodedStripe {
     pub preamble_matches: usize,
 }
 
-/// Decodes a spy probe trace into payload bits.
+/// Decodes a spy probe trace into payload bits against the decision
+/// `boundary` (a [`super::BoundaryPolicy`] picks it: [`adaptive_boundary`]
+/// for the Prime+Probe channel's two tight clusters, [`robust_boundary`]
+/// for the congestion channel's long queue-wait tail).
 ///
 /// The decoder knows `params` (shared constants) and the payload length,
 /// but must recover the slot *phase* from the alternating preamble — the
 /// synchronisation challenge the paper describes (Sec. IV-C: "we tune
 /// parameters on the trojan side ... to synchronize the communication").
-pub fn decode_trace(
-    samples: &[ProbeSample],
-    params: &ChannelParams,
-    payload_bits: usize,
-) -> DecodedStripe {
-    decode_trace_with_boundary(samples, params, payload_bits, adaptive_boundary(samples))
-}
-
-/// As [`decode_trace`] with an explicit decision boundary — the
-/// link-congestion channel passes [`robust_boundary`], whose quantile
-/// initialisation survives that channel's long queue-wait tail.
 pub fn decode_trace_with_boundary(
     samples: &[ProbeSample],
     params: &ChannelParams,
@@ -394,7 +386,11 @@ fn vote_slots_scored(
 
 #[cfg(test)]
 mod tests {
+    use super::super::pipeline::{BoundaryPolicy, Decoder};
     use super::*;
+
+    /// The Prime+Probe channel's receive path.
+    const VOTE: Decoder = Decoder::Vote(BoundaryPolicy::TwoMeans);
 
     #[test]
     fn bits_round_trip_bytes() {
@@ -475,7 +471,7 @@ mod tests {
         let payload = bits_from_bytes(b"hi");
         let frame = params.frame(&payload);
         let samples = synth_samples(&frame, params.slot_cycles, 0, 3);
-        let dec = decode_trace(&samples, &params, payload.len());
+        let dec = VOTE.decode(&samples, &params, payload.len());
         assert_eq!(dec.payload, payload);
         assert_eq!(dec.preamble_matches, params.preamble_bits);
     }
@@ -487,7 +483,7 @@ mod tests {
         let frame = params.frame(&payload);
         // Probes start mid-slot: phase offset of 40% of a slot.
         let samples = synth_samples(&frame, params.slot_cycles, params.slot_cycles * 2 / 5, 4);
-        let dec = decode_trace(&samples, &params, payload.len());
+        let dec = VOTE.decode(&samples, &params, payload.len());
         assert_eq!(dec.payload, payload, "phase-shifted frame must decode");
     }
 
@@ -503,7 +499,7 @@ mod tests {
                 s.misses = 16 - s.misses;
             }
         }
-        let dec = decode_trace(&samples, &params, payload.len());
+        let dec = VOTE.decode(&samples, &params, payload.len());
         let errs = dec
             .payload
             .iter()
@@ -519,7 +515,7 @@ mod tests {
     #[test]
     fn empty_trace_decodes_to_zeros() {
         let params = ChannelParams::default();
-        let dec = decode_trace(&[], &params, 8);
+        let dec = VOTE.decode(&[], &params, 8);
         assert_eq!(dec.payload, vec![0; 8]);
     }
 

@@ -47,7 +47,7 @@
 //!   stack.
 
 use super::agents::SpyTrace;
-use super::medium::{listen_horizon, ChannelMedium};
+use super::medium::{listen_horizon, ChannelMedium, GRACE_SLOTS};
 use super::pipeline::{matched_filter_decode, BoundaryPolicy, Decoder, Pipeline};
 use super::protocol::{
     decode_trace_with_boundary, open_frame, seal_frame, ChannelParams, DecodedStripe, ProbeSample,
@@ -294,16 +294,9 @@ pub fn transmit_resilient(
                 continue;
             }
             let frame = params.frame(bits);
-            traces.push(Some(medium.install_lane_deferred(
-                &mut eng,
-                lane,
-                &frame,
-                params,
-                listen,
-                defer,
-            )));
+            traces.push(Some(medium.install_lane(&mut eng, lane, &frame, params, listen, defer)));
         }
-        let end = eng.run(listen + 16 * params.slot_cycles)?;
+        let end = eng.run(listen + GRACE_SLOTS * params.slot_cycles)?;
         drop(eng);
         report.rounds += 1;
         report.duration_cycles += end;

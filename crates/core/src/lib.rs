@@ -63,10 +63,10 @@ pub mod timing_re;
 pub use alignment::{align_classes, paired_sets, AlignmentConfig, ClassMatch};
 pub use cache_re::{derive_cache_architecture, CacheArchReport, DetectedPolicy};
 pub use covert::{
-    extract_anatomy, redecode_traces, slot_latency_histogram, transmit, transmit_link,
-    transmit_over, transmit_resilient, BoundaryPolicy, ChannelAnatomy, ChannelMedium,
-    ChannelParams, ChannelReport, Coding, Decoder, L2SetMedium, LinkChannel,
-    LinkCongestionMedium, Pipeline, ResilientReport, RetryConfig, SetPair,
+    extract_anatomy, redecode_traces, slot_latency_histogram, transmit_over, transmit_resilient,
+    BoundaryPolicy, ChannelAnatomy, ChannelMedium, ChannelParams, ChannelReport, Coding, Decoder,
+    L2SetMedium, LinkChannel, LinkCongestionMedium, Pipeline, ResilientReport, RetryConfig,
+    SetPair, Transmission,
 };
 pub use eviction::{
     classify_pages, classify_pages_fast, dedupe_aliased, discover_conflicts,

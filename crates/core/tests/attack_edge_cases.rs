@@ -1,9 +1,10 @@
 //! Edge-case tests for the attack crate: protocol corner cases, scan
 //! bounds, and probe classification on unusual layouts.
 
-use gpubox_attacks::covert::{decode_trace, ChannelParams, ProbeSample};
+use gpubox_attacks::covert::{ChannelParams, ProbeSample};
 use gpubox_attacks::{
-    classify_pages, discover_conflicts, EvictionSet, Locality, ScanConfig, Thresholds,
+    classify_pages, discover_conflicts, BoundaryPolicy, Decoder, EvictionSet, Locality,
+    ScanConfig, Thresholds,
 };
 use gpubox_sim::{GpuId, MultiGpuSystem, ProcessCtx, SystemConfig, VirtAddr};
 
@@ -90,7 +91,7 @@ fn decoder_handles_single_probe_per_slot() {
             mean_latency: if b == 1 { 950 } else { 630 },
         })
         .collect();
-    let dec = decode_trace(&samples, &params, payload.len());
+    let dec = Decoder::Vote(BoundaryPolicy::TwoMeans).decode(&samples, &params, payload.len());
     assert_eq!(dec.payload, payload);
 }
 
@@ -114,7 +115,7 @@ fn decoder_fills_missing_tail_slots_with_zero() {
         })
         .filter(|s| s.at < cutoff)
         .collect();
-    let dec = decode_trace(&samples, &params, payload.len());
+    let dec = Decoder::Vote(BoundaryPolicy::TwoMeans).decode(&samples, &params, payload.len());
     assert_eq!(dec.payload.len(), payload.len());
     assert_eq!(&dec.payload[..2], &[1, 1], "received slots decode");
     assert_eq!(&dec.payload[2..], &[0, 0], "missing slots default to 0");
@@ -155,7 +156,8 @@ fn thresholds_serde_round_trip() {
 #[test]
 fn empty_payload_transmits_without_panicking() {
     use gpubox_attacks::covert::bits_from_bytes;
-    use gpubox_attacks::{transmit, SetPair};
+    use gpubox_attacks::{transmit_over, L2SetMedium, Pipeline, SetPair};
+    use gpubox_sim::SchedulerKind;
 
     let mut sys = MultiGpuSystem::new(SystemConfig::small_test().noiseless());
     let thr = Thresholds::paper_defaults();
@@ -179,14 +181,20 @@ fn empty_payload_transmits_without_panicking() {
         trojan: tclasses.eviction_set(0, 0, 16),
         spy: sclasses.eviction_set(0, 0, 16),
     };
-    let rep = transmit(
-        &mut sys,
+    let pairs = [pair];
+    let medium = L2SetMedium {
         trojan,
         spy,
-        &[pair],
+        pairs: &pairs,
+        thresholds: thr,
+    };
+    let rep = transmit_over(
+        &mut sys,
+        &medium,
         &bits_from_bytes(b""),
         &ChannelParams::default(),
-        thr,
+        &Pipeline::vote(BoundaryPolicy::TwoMeans),
+        SchedulerKind::Auto,
     )
     .unwrap();
     assert_eq!(rep.sent.len(), 0);

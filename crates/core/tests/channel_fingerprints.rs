@@ -1,19 +1,20 @@
-//! Bit-compatibility gates for the covert-channel wrappers.
+//! Bit-compatibility gates for the covert channel's one transmit path.
 //!
-//! The PR 4 refactor moved `transmit` and `transmit_link` onto the
-//! transport-agnostic `transmit_over` pipeline. These fingerprints were
-//! captured at the PR 3 HEAD (commit af72b35), running the *pre-refactor*
-//! implementations on small deterministic fixtures: an FNV-1a fold over
-//! the decoded payload, the error count, the end-of-run clock and every
-//! recorded spy probe sample. The wrappers must keep reproducing them
+//! These fingerprints were captured at commit af72b35, before the
+//! channels moved onto the transport-agnostic pipeline, running the
+//! original implementations on small deterministic fixtures: an FNV-1a
+//! fold over the decoded payload, the error count, the end-of-run clock
+//! and every recorded spy probe sample. `transmit_over` with each
+//! channel family's vote pipeline must keep reproducing them
 //! bit-for-bit — framing, agent wiring, engine interleaving and decoding
 //! are all inside the hash. (The larger DGX-scale gates live in the
 //! `fig09` / `fig10` / `ext_link_congestion_channel` binaries.)
 
 use gpubox_attacks::covert::bits_from_bytes;
 use gpubox_attacks::{
-    align_classes, classify_pages, paired_sets, transmit, transmit_link, AlignmentConfig,
-    ChannelParams, ChannelReport, LinkChannel, Locality, ScanConfig, SetPair, Thresholds,
+    align_classes, classify_pages, paired_sets, transmit_over, AlignmentConfig, BoundaryPolicy,
+    ChannelParams, ChannelReport, L2SetMedium, LinkChannel, LinkCongestionMedium, Locality,
+    Pipeline, ScanConfig, SetPair, Thresholds,
 };
 use gpubox_sim::{
     FabricConfig, FaultPlan, GpuId, MultiGpuSystem, ProcessCtx, ProcessId, SchedulerKind,
@@ -43,7 +44,7 @@ fn report_fingerprint(rep: &ChannelReport) -> u64 {
     h
 }
 
-/// The `channel.rs` test fixture, reproduced through the public API: a
+/// The covert unit tests' fixture, reproduced through the public API: a
 /// two-GPU `small_test` box, trojan on GPU0, spy on GPU1, aligned pairs
 /// over classified 96-page buffers.
 fn l2_fixture(noiseless: bool) -> (MultiGpuSystem, ProcessId, ProcessId, Vec<SetPair>) {
@@ -85,7 +86,7 @@ fn l2_fixture(noiseless: bool) -> (MultiGpuSystem, ProcessId, ProcessId, Vec<Set
     (sys, trojan, spy, pairs)
 }
 
-/// The `link_fixture` of `channel.rs`: trojan and spy on GPU1 with
+/// The covert unit tests' link fixture: trojan and spy on GPU1 with
 /// disjoint buffers homed on GPU0, both routes crossing the single
 /// NVLink of the two-GPU box.
 fn link_fixture() -> (MultiGpuSystem, ProcessId, ProcessId, Vec<VirtAddr>, Vec<VirtAddr>) {
@@ -104,80 +105,69 @@ fn link_fixture() -> (MultiGpuSystem, ProcessId, ProcessId, Vec<VirtAddr>, Vec<V
     (sys, trojan, spy, trojan_lines, spy_lines)
 }
 
-#[test]
-fn l2_wrapper_reproduces_pr3_noiseless_fingerprint() {
-    let (mut sys, trojan, spy, pairs) = l2_fixture(true);
-    let payload = bits_from_bytes(b"fingerprint: the quick brown fox");
-    let rep = transmit(
-        &mut sys,
+/// The Prime+Probe channel over the first `lanes` aligned pairs of the
+/// L2 fixture, decoded by its 2-means vote.
+fn send_l2(noiseless: bool, lanes: usize, payload: &[u8]) -> ChannelReport {
+    let (mut sys, trojan, spy, pairs) = l2_fixture(noiseless);
+    let medium = L2SetMedium {
         trojan,
         spy,
-        &pairs[..4],
-        &payload,
-        &ChannelParams::default(),
-        Thresholds::paper_defaults(),
-    )
-    .unwrap();
-    assert_eq!(report_fingerprint(&rep), L2_NOISELESS_FP);
+        pairs: &pairs[..lanes],
+        thresholds: Thresholds::paper_defaults(),
+    };
+    let (params, pipeline) = (ChannelParams::default(), Pipeline::vote(BoundaryPolicy::TwoMeans));
+    transmit_over(&mut sys, &medium, payload, &params, &pipeline, SchedulerKind::Auto).unwrap()
 }
 
-#[test]
-fn l2_wrapper_reproduces_pr3_noisy_fingerprint() {
-    let (mut sys, trojan, spy, pairs) = l2_fixture(false);
-    let payload = bits_from_bytes(b"fingerprint: the quick brown fox");
-    let rep = transmit(
-        &mut sys,
-        trojan,
-        spy,
-        &pairs[..4],
-        &payload,
-        &ChannelParams::default(),
-        Thresholds::paper_defaults(),
-    )
-    .unwrap();
-    assert_eq!(report_fingerprint(&rep), L2_NOISY_FP);
-}
-
-#[test]
-fn l2_wrapper_reproduces_pr3_single_set_fingerprint() {
-    let (mut sys, trojan, spy, pairs) = l2_fixture(true);
-    let payload = bits_from_bytes(b"one lane");
-    let rep = transmit(
-        &mut sys,
-        trojan,
-        spy,
-        &pairs[..1],
-        &payload,
-        &ChannelParams::default(),
-        Thresholds::paper_defaults(),
-    )
-    .unwrap();
-    assert_eq!(report_fingerprint(&rep), L2_SINGLE_SET_FP);
-}
-
-#[test]
-fn link_wrapper_reproduces_pr3_fingerprint_on_both_schedulers() {
+/// The congestion channel (3 trojan streams) on the link fixture, with
+/// `plan` installed if given, decoded by its quantile-anchored vote.
+fn send_link(plan: Option<FaultPlan>, sched: SchedulerKind) -> ChannelReport {
     let payload = bits_from_bytes(b"fingerprint link");
     let params = ChannelParams {
         spy_gap: 600,
         ..Default::default()
     };
+    let (mut sys, trojan, spy, tl, sl) = link_fixture();
+    if let Some(plan) = plan {
+        sys.set_fault_plan(plan).unwrap();
+    }
+    let medium = LinkCongestionMedium {
+        trojan,
+        spy,
+        channel: LinkChannel {
+            trojan_lines: &tl,
+            spy_lines: &sl,
+            trojan_streams: 3,
+        },
+    };
+    let pipeline = Pipeline::vote(BoundaryPolicy::Quantile);
+    transmit_over(&mut sys, &medium, &payload, &params, &pipeline, sched).unwrap()
+}
+
+const FOX: &[u8] = b"fingerprint: the quick brown fox";
+
+#[test]
+fn l2_channel_reproduces_pr3_noiseless_fingerprint() {
+    let rep = send_l2(true, 4, &bits_from_bytes(FOX));
+    assert_eq!(report_fingerprint(&rep), L2_NOISELESS_FP);
+}
+
+#[test]
+fn l2_channel_reproduces_pr3_noisy_fingerprint() {
+    let rep = send_l2(false, 4, &bits_from_bytes(FOX));
+    assert_eq!(report_fingerprint(&rep), L2_NOISY_FP);
+}
+
+#[test]
+fn l2_channel_reproduces_pr3_single_set_fingerprint() {
+    let rep = send_l2(true, 1, &bits_from_bytes(b"one lane"));
+    assert_eq!(report_fingerprint(&rep), L2_SINGLE_SET_FP);
+}
+
+#[test]
+fn link_channel_reproduces_pr3_fingerprint_on_both_schedulers() {
     for sched in [SchedulerKind::Heap, SchedulerKind::Linear] {
-        let (mut sys, trojan, spy, tl, sl) = link_fixture();
-        let rep = transmit_link(
-            &mut sys,
-            trojan,
-            spy,
-            &LinkChannel {
-                trojan_lines: &tl,
-                spy_lines: &sl,
-                trojan_streams: 3,
-            },
-            &payload,
-            &params,
-            sched,
-        )
-        .unwrap();
+        let rep = send_link(None, sched);
         assert_eq!(report_fingerprint(&rep), LINK_FP, "scheduler {sched:?}");
     }
 }
@@ -189,12 +179,7 @@ fn link_wrapper_reproduces_pr3_fingerprint_on_both_schedulers() {
 /// binary-searched per access, but the healthy epoch resolves every
 /// route).
 #[test]
-fn link_wrapper_is_bit_identical_with_faults_armed() {
-    let payload = bits_from_bytes(b"fingerprint link");
-    let params = ChannelParams {
-        spy_gap: 600,
-        ..Default::default()
-    };
+fn link_channel_is_bit_identical_with_faults_armed() {
     let plans = [
         ("empty plan", FaultPlan::none()),
         (
@@ -204,22 +189,7 @@ fn link_wrapper_is_bit_identical_with_faults_armed() {
     ];
     for (label, plan) in plans {
         for sched in [SchedulerKind::Heap, SchedulerKind::Linear] {
-            let (mut sys, trojan, spy, tl, sl) = link_fixture();
-            sys.set_fault_plan(plan.clone()).unwrap();
-            let rep = transmit_link(
-                &mut sys,
-                trojan,
-                spy,
-                &LinkChannel {
-                    trojan_lines: &tl,
-                    spy_lines: &sl,
-                    trojan_streams: 3,
-                },
-                &payload,
-                &params,
-                sched,
-            )
-            .unwrap();
+            let rep = send_link(Some(plan.clone()), sched);
             assert_eq!(
                 report_fingerprint(&rep),
                 LINK_FP,
@@ -243,66 +213,11 @@ const LINK_FP: u64 = 0xe68e_e3c2_cda4_8ab5;
 #[test]
 #[ignore]
 fn print_current_fingerprints() {
-    let (mut sys, trojan, spy, pairs) = l2_fixture(true);
-    let payload = bits_from_bytes(b"fingerprint: the quick brown fox");
-    let rep = transmit(
-        &mut sys,
-        trojan,
-        spy,
-        &pairs[..4],
-        &payload,
-        &ChannelParams::default(),
-        Thresholds::paper_defaults(),
-    )
-    .unwrap();
-    println!("L2_NOISELESS_FP: {:#x}", report_fingerprint(&rep));
-
-    let (mut sys, trojan, spy, pairs) = l2_fixture(false);
-    let rep = transmit(
-        &mut sys,
-        trojan,
-        spy,
-        &pairs[..4],
-        &payload,
-        &ChannelParams::default(),
-        Thresholds::paper_defaults(),
-    )
-    .unwrap();
-    println!("L2_NOISY_FP: {:#x}", report_fingerprint(&rep));
-
-    let (mut sys, trojan, spy, pairs) = l2_fixture(true);
-    let payload = bits_from_bytes(b"one lane");
-    let rep = transmit(
-        &mut sys,
-        trojan,
-        spy,
-        &pairs[..1],
-        &payload,
-        &ChannelParams::default(),
-        Thresholds::paper_defaults(),
-    )
-    .unwrap();
-    println!("L2_SINGLE_SET_FP: {:#x}", report_fingerprint(&rep));
-
-    let payload = bits_from_bytes(b"fingerprint link");
-    let params = ChannelParams {
-        spy_gap: 600,
-        ..Default::default()
-    };
-    let (mut sys, trojan, spy, tl, sl) = link_fixture();
-    let rep = transmit_link(
-        &mut sys,
-        trojan,
-        spy,
-        &LinkChannel {
-            trojan_lines: &tl,
-            spy_lines: &sl,
-            trojan_streams: 3,
-        },
-        &payload,
-        &params,
-        SchedulerKind::Heap,
-    )
-    .unwrap();
-    println!("LINK_FP: {:#x}", report_fingerprint(&rep));
+    let fox = bits_from_bytes(FOX);
+    println!("L2_NOISELESS_FP: {:#x}", report_fingerprint(&send_l2(true, 4, &fox)));
+    println!("L2_NOISY_FP: {:#x}", report_fingerprint(&send_l2(false, 4, &fox)));
+    let one = send_l2(true, 1, &bits_from_bytes(b"one lane"));
+    println!("L2_SINGLE_SET_FP: {:#x}", report_fingerprint(&one));
+    let link = send_link(None, SchedulerKind::Heap);
+    println!("LINK_FP: {:#x}", report_fingerprint(&link));
 }

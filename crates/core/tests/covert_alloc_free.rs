@@ -1,8 +1,8 @@
 //! Counting-allocator proof that the unified covert pipeline's
 //! steady-state engine loop is allocation-free on **both media**.
 //!
-//! The media are wired exactly as `transmit_over` wires them (through
-//! `ChannelMedium::prepare` / `install_lane`), the engine runs a
+//! The media are staged exactly as `transmit_over` stages them (through
+//! `Transmission::prepare` / `install`), the engine runs a
 //! warm-up window (first batches size the engine scratch buffers, the
 //! spy traces get their capacity reserved), the global allocation
 //! counter is snapshotted, and a long steady-state window must not move
@@ -21,9 +21,8 @@
 
 use gpubox_attacks::covert::{ChannelMedium, L2SetMedium, LinkCongestionMedium, SpyTrace};
 use gpubox_attacks::{
-    align_classes, classify_pages, AlignmentConfig, ChannelParams, LinkChannel, Locality,
-    ScanConfig, SetPair,
-    Thresholds,
+    align_classes, classify_pages, AlignmentConfig, BoundaryPolicy, ChannelParams, LinkChannel,
+    Locality, Pipeline, ScanConfig, SetPair, Thresholds, Transmission,
 };
 use gpubox_sim::{
     Engine, FabricConfig, GpuId, MultiGpuSystem, ProcessCtx, ProcessId, SchedulerKind,
@@ -115,38 +114,38 @@ fn paired(
         .collect()
 }
 
-/// Runs one medium's agent wiring for `WARMUP + STEADY` cycles and
-/// returns the allocation-counter delta across the steady window.
+/// Runs one medium's staged transmission of `payload` for
+/// `WARMUP + STEADY` cycles and returns the allocation-counter delta
+/// across the steady window.
 fn steady_state_allocs(
     medium: &dyn ChannelMedium,
     sys: &mut MultiGpuSystem,
     params: &ChannelParams,
-    frame: &[u8],
+    payload: &[u8],
     sched: SchedulerKind,
     reserve: usize,
 ) -> (u64, Vec<SpyTrace>) {
-    medium.prepare(sys).unwrap();
+    let pipeline = Pipeline::vote(BoundaryPolicy::TwoMeans);
+    let mut tx = Transmission::prepare(sys, medium, payload, params, &pipeline).unwrap();
     let mut eng = Engine::with_scheduler(sys, sched);
-    let listen = WARMUP + STEADY + 50_000;
-    let traces: Vec<SpyTrace> = (0..medium.lanes())
-        .map(|lane| medium.install_lane(&mut eng, lane, frame, params, listen))
-        .collect();
+    assert!(tx.install(&mut eng, 0) > WARMUP + STEADY, "spies listen past the steady window");
     eng.run(WARMUP).unwrap();
-    for t in &traces {
+    for t in tx.traces() {
         t.reserve(reserve);
     }
     let before = alloc_calls();
     eng.run(WARMUP + STEADY).unwrap();
     let after = alloc_calls();
-    (after - before, traces)
+    (after - before, tx.traces().to_vec())
 }
 
 #[test]
 fn unified_pipeline_steady_state_allocates_nothing_on_both_media() {
-    // A frame long enough that every agent stays live past the steady
-    // window (agents go `Done` when their frame is exhausted).
+    // A payload long enough that every lane's frame keeps its agents
+    // live past the steady window (agents go `Done` when their frame is
+    // exhausted).
     let params = ChannelParams::default();
-    let frame: Vec<u8> = params.frame(&(0..256).map(|i| u8::from(i % 3 != 0)).collect::<Vec<_>>());
+    let payload: Vec<u8> = (0..256).map(|i| u8::from(i % 3 != 0)).collect();
 
     for sched in [SchedulerKind::Linear, SchedulerKind::Heap] {
         // --- L2 Prime+Probe medium ------------------------------------
@@ -163,7 +162,7 @@ fn unified_pipeline_steady_state_allocates_nothing_on_both_media() {
             };
             let reserve = if measured { rehearsal_samples * 2 + 64 } else { 0 };
             let (delta, traces) =
-                steady_state_allocs(&medium, &mut sys, &params, &frame, sched, reserve);
+                steady_state_allocs(&medium, &mut sys, &params, &payload, sched, reserve);
             if measured {
                 assert_eq!(
                     delta, 0,
@@ -205,7 +204,7 @@ fn unified_pipeline_steady_state_allocates_nothing_on_both_media() {
             };
             let reserve = if measured { rehearsal_samples * 2 + 64 } else { 0 };
             let (delta, traces) =
-                steady_state_allocs(&medium, &mut sys, &link_params, &frame, sched, reserve);
+                steady_state_allocs(&medium, &mut sys, &link_params, &payload, sched, reserve);
             if measured {
                 assert_eq!(
                     delta, 0,

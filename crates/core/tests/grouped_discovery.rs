@@ -18,8 +18,8 @@ use gpubox_attacks::covert::bits_from_bytes;
 use gpubox_attacks::timing_re::measure_timing;
 use gpubox_attacks::{
     align_classes, classify_pages, classify_pages_fast, paired_sets, transmit_over,
-    verify_classes_against_oracle, AlignmentConfig, ChannelMedium, ChannelParams, Coding,
-    L2SetMedium, Locality, PageClasses, Pipeline, ScanConfig, SetPair, Thresholds,
+    verify_classes_against_oracle, AlignmentConfig, BoundaryPolicy, ChannelParams, L2SetMedium,
+    Locality, PageClasses, Pipeline, ScanConfig, SetPair, Thresholds,
 };
 use gpubox_sim::{GpuId, MultiGpuSystem, ProcessCtx, SchedulerKind, SystemConfig};
 use proptest::prelude::*;
@@ -200,10 +200,7 @@ fn fast_sets_transmit_identically_under_both_schedulers() {
             pairs: &pairs,
             thresholds: thr,
         };
-        let pipeline = Pipeline {
-            decoder: medium.default_decoder(),
-            coding: Coding::None,
-        };
+        let pipeline = Pipeline::vote(BoundaryPolicy::TwoMeans);
         let rep = transmit_over(&mut sys, &medium, &payload, &params, &pipeline, sched).unwrap();
         reports.push(rep);
     }

@@ -1,9 +1,12 @@
 //! Property-based tests for the attack crate's protocol and data layers.
 
 use gpubox_attacks::covert::{
-    bits_from_bytes, bytes_from_bits, decode_trace, stripe_bits, unstripe_bits, ChannelParams,
+    bits_from_bytes, bytes_from_bits, stripe_bits, unstripe_bits, ChannelParams,
 };
-use gpubox_attacks::Thresholds;
+use gpubox_attacks::{BoundaryPolicy, Decoder, Thresholds};
+
+/// The Prime+Probe channel's receive path.
+const VOTE: Decoder = Decoder::Vote(BoundaryPolicy::TwoMeans);
 use proptest::prelude::*;
 
 proptest! {
@@ -54,7 +57,7 @@ proptest! {
                 });
             }
         }
-        let dec = decode_trace(&samples, &params, payload.len());
+        let dec = VOTE.decode(&samples, &params, payload.len());
         prop_assert_eq!(dec.payload, payload);
     }
 
@@ -79,7 +82,7 @@ proptest! {
             })
             .collect();
         probe_samples.sort_by_key(|s| s.at);
-        let dec = decode_trace(&probe_samples, &params, payload_bits);
+        let dec = VOTE.decode(&probe_samples, &params, payload_bits);
         prop_assert_eq!(dec.payload.len(), payload_bits);
         prop_assert!(dec.payload.iter().all(|&b| b <= 1));
     }

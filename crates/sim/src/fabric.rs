@@ -27,7 +27,7 @@
 //! bandwidth trojan saturating one link is observable to any tenant whose
 //! route shares that link, purely through the tenant's own transfer
 //! latency — no shared cache set required
-//! (`gpubox_attacks::covert::transmit_link`).
+//! (`gpubox_attacks::covert::LinkCongestionMedium`).
 //!
 //! # QoS / defence layer
 //!

@@ -6,8 +6,9 @@
 //! `cargo run --release -p gpubox-bench --example covert_chat -- "your message" [sets]`
 
 use gpubox_attacks::covert::{bits_from_bytes, bytes_from_bits};
-use gpubox_attacks::{transmit, ChannelParams};
+use gpubox_attacks::{transmit_over, BoundaryPolicy, ChannelParams, Pipeline};
 use gpubox_bench::AttackSetup;
+use gpubox_sim::SchedulerKind;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -30,14 +31,14 @@ fn main() {
         "[online]  transmitting {:?} over {sets} cache set(s) ...",
         message
     );
-    let report = transmit(
+    let medium = setup.medium(&pairs);
+    let report = transmit_over(
         &mut setup.sys,
-        setup.trojan,
-        setup.spy,
-        &pairs,
+        &medium,
         &bits_from_bytes(message.as_bytes()),
         &ChannelParams::default(),
-        setup.thresholds,
+        &Pipeline::vote(BoundaryPolicy::TwoMeans),
+        SchedulerKind::Auto,
     )
     .expect("transmission");
 

@@ -3,24 +3,32 @@
 //! transmission — across crate boundaries.
 
 use gpubox_attacks::covert::{bits_from_bytes, bytes_from_bits};
-use gpubox_attacks::{transmit, ChannelParams};
+use gpubox_attacks::{
+    transmit_over, BoundaryPolicy, ChannelMedium, ChannelParams, ChannelReport, Pipeline, SetPair,
+};
 use gpubox_bench::AttackSetup;
+use gpubox_sim::{MultiGpuSystem, SchedulerKind};
+
+/// One Prime+Probe transmission of `payload` over `medium`, decoded by
+/// the channel's 2-means vote.
+fn send(sys: &mut MultiGpuSystem, medium: &dyn ChannelMedium, payload: &[u8]) -> ChannelReport {
+    let params = ChannelParams::default();
+    let vote = Pipeline::vote(BoundaryPolicy::TwoMeans);
+    transmit_over(sys, medium, payload, &params, &vote, SchedulerKind::Auto).expect("transmission")
+}
+
+/// [`send`] between an [`AttackSetup`]'s endpoints over `pairs`.
+fn send_setup(setup: &mut AttackSetup, pairs: &[SetPair], payload: &[u8]) -> ChannelReport {
+    let medium = setup.medium(pairs);
+    send(&mut setup.sys, &medium, payload)
+}
 
 #[test]
 fn full_pipeline_transfers_text_across_gpus() {
     let mut setup = AttackSetup::prepare(90210);
     let pairs = setup.aligned_pairs(2);
     let message = b"integration test message";
-    let report = transmit(
-        &mut setup.sys,
-        setup.trojan,
-        setup.spy,
-        &pairs,
-        &bits_from_bytes(message),
-        &ChannelParams::default(),
-        setup.thresholds,
-    )
-    .expect("transmission");
+    let report = send_setup(&mut setup, &pairs, &bits_from_bytes(message));
     assert!(
         report.error_rate < 0.02,
         "error rate too high: {} ({} errors)",
@@ -40,27 +48,8 @@ fn bandwidth_scales_and_error_stays_bounded_at_four_sets() {
     let mut setup = AttackSetup::prepare(90211);
     let pairs = setup.aligned_pairs(4);
     let payload = bits_from_bytes(&[0xA5u8; 192]);
-    let params = ChannelParams::default();
-    let r4 = transmit(
-        &mut setup.sys,
-        setup.trojan,
-        setup.spy,
-        &pairs,
-        &payload,
-        &params,
-        setup.thresholds,
-    )
-    .unwrap();
-    let r1 = transmit(
-        &mut setup.sys,
-        setup.trojan,
-        setup.spy,
-        &pairs[..1],
-        &payload,
-        &params,
-        setup.thresholds,
-    )
-    .unwrap();
+    let r4 = send_setup(&mut setup, &pairs, &payload);
+    let r1 = send_setup(&mut setup, &pairs[..1], &payload);
     assert!(
         r4.bandwidth_bytes_per_sec > 3.0 * r1.bandwidth_bytes_per_sec,
         "4-set bandwidth {} should be ~4x 1-set {}",
@@ -76,10 +65,10 @@ fn channel_works_between_other_gpu_pairs() {
     // works (here: 2 and 6, cross-quad neighbours on the cube mesh).
     use gpubox_attacks::timing_re::measure_timing;
     use gpubox_attacks::{
-        align_classes, classify_pages, paired_sets, AlignmentConfig, Locality, ScanConfig,
-        SetPair,
+        align_classes, classify_pages, paired_sets, AlignmentConfig, L2SetMedium, Locality,
+        ScanConfig,
     };
-    use gpubox_sim::{GpuId, MultiGpuSystem, ProcessCtx, SystemConfig};
+    use gpubox_sim::{GpuId, ProcessCtx, SystemConfig};
 
     let mut sys = MultiGpuSystem::new(SystemConfig::dgx1().with_seed(31337));
     let timing = measure_timing(&mut sys, GpuId::new(2), GpuId::new(6), 48).unwrap();
@@ -134,16 +123,13 @@ fn channel_works_between_other_gpu_pairs() {
         .into_iter()
         .map(|(t, s)| SetPair { trojan: t, spy: s })
         .collect();
-    let report = transmit(
-        &mut sys,
+    let medium = L2SetMedium {
         trojan,
         spy,
-        &pairs,
-        &bits_from_bytes(b"gpu2 to gpu6"),
-        &ChannelParams::default(),
-        timing.thresholds,
-    )
-    .unwrap();
+        pairs: &pairs,
+        thresholds: timing.thresholds,
+    };
+    let report = send(&mut sys, &medium, &bits_from_bytes(b"gpu2 to gpu6"));
     assert!(report.error_rate < 0.02, "error {}", report.error_rate);
 }
 
@@ -152,17 +138,7 @@ fn deterministic_given_seed() {
     let run = |seed: u64| {
         let mut setup = AttackSetup::prepare(seed);
         let pairs = setup.aligned_pairs(1);
-        transmit(
-            &mut setup.sys,
-            setup.trojan,
-            setup.spy,
-            &pairs,
-            &bits_from_bytes(b"determinism"),
-            &ChannelParams::default(),
-            setup.thresholds,
-        )
-        .unwrap()
-        .received
+        send_setup(&mut setup, &pairs, &bits_from_bytes(b"determinism")).received
     };
     assert_eq!(run(5150), run(5150), "same seed must reproduce bit-exactly");
 }
