@@ -790,15 +790,11 @@ fn bench_fleet_step(c: &mut Criterion) {
 /// Asserted before either variant is timed, along with the monitor
 /// being outcome-invisible (same issued-access totals).
 fn bench_monitor_overhead(c: &mut Criterion) {
-    use gpubox_sim::{run_windowed, Monitor, MonitorConfig, NoiseAgent, NoiseConfig};
+    use gpubox_sim::{run_windowed, Monitor, MonitorConfig, NoiseAgent, NoiseConfig, QosConfig};
 
     const HORIZON: u64 = 300_000;
     let build = || {
-        let mut cfg = SystemConfig::dgx1()
-            .with_seed(99)
-            .with_fabric(FabricConfig::nvlink_v1());
-        cfg.allow_indirect_peer = true;
-        let mut sys = MultiGpuSystem::new(cfg);
+        let mut sys = MultiGpuSystem::new(gpubox_bench::fabric_dgx1(99, QosConfig::off()));
         let mut agents: Vec<Box<dyn Agent>> = Vec::new();
         for t in 0..8usize {
             let pid = sys.create_process(GpuId::new((t % 4) as u8));
@@ -830,7 +826,7 @@ fn bench_monitor_overhead(c: &mut Criterion) {
         }
         if monitored {
             mon.prime(eng.system().stats());
-            run_windowed(&mut eng, &mut mon, HORIZON).unwrap();
+            run_windowed(&mut eng, &mut mon, HORIZON, None).unwrap();
         } else {
             let w = mon.config().window_cycles;
             let mut next = w;

@@ -11,9 +11,10 @@
 //! and slot-clock autocorrelation over diffed `SystemStats` counters)
 //! over:
 //!
-//! - a **benign multi-tenant mix** (the `ext_multi_tenant_noise`
-//!   recipe) across several seeds — the no-attack control that fixes
-//!   the false-positive column;
+//! - the **benign multi-tenant mix** ([`BenignMix`]: trace replays plus
+//!   bursty noise kernels, half the tenants streaming over NVLink)
+//!   across several seeds — the no-attack control that fixes the
+//!   false-positive column;
 //! - the **NVLink-congestion trojan** launched into the same benign
 //!   mix after the monitor's warm-up, across an **evasion sweep**
 //!   (duty cycle × slot jitter, [`ChannelParams::trojan_duty_pct`] /
@@ -26,7 +27,7 @@
 //! - the **respond arm**: the noiseless link channel under (a) no
 //!   defence, (b) the PR 5 full-strength grant pacing always on, (c)
 //!   the same pacing deployed *only on alarmed links* at first alarm
-//!   ([`MultiGpuSystem::set_qos`] + [`QosScope::links_mask`]) —
+//!   ([`MultiGpuSystem::set_qos`] + [`gpubox_sim::QosScope::links_mask`]) —
 //!   detect-then-throttle;
 //! - a two-node **fleet health** scenario: one clean node, one node
 //!   under attack, folded through [`FleetMonitor`] into per-tenant
@@ -50,20 +51,15 @@
 //!
 //! Usage: `ext_detection [--threads=N] [--seed=S]`
 
-use gpubox_attacks::{
-    BoundaryPolicy, ChannelParams, LinkChannel, LinkCongestionMedium, Pipeline, Transmission,
-    TrialRunner,
+use gpubox_attacks::{BoundaryPolicy, ChannelParams, Pipeline, Transmission, TrialRunner};
+use gpubox_bench::{
+    fabric_dgx1, link_params, report, seeded_payload, AttackSetup, BenignMix, LinkEndpoints,
 };
-use gpubox_bench::{report, AttackSetup};
 use gpubox_sim::fleet::TenantId;
 use gpubox_sim::telemetry::MetricSet;
 use gpubox_sim::{
-    Agent, Engine, FabricConfig, FleetMonitor, GpuId, Monitor, MonitorConfig, MultiGpuSystem,
-    NoiseAgent, NoiseConfig, QosConfig, QosScope, SystemConfig, VirtAddr,
+    run_windowed, Engine, FleetMonitor, GpuId, Monitor, MonitorConfig, MultiGpuSystem, QosConfig,
 };
-use gpubox_workloads::{agent_for, Histogram, VectorAdd, Workload};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 
 const SEED: u64 = 0xDE7EC;
 /// Benign-mix horizon, cycles (400 monitor windows).
@@ -100,85 +96,31 @@ fn full_qos() -> QosConfig {
     QosConfig::off().with_pacing(3_000)
 }
 
-fn shared_config(seed: u64, qos: QosConfig) -> SystemConfig {
-    let mut cfg = SystemConfig::dgx1()
-        .with_seed(seed)
-        .with_fabric(FabricConfig::nvlink_v1().with_qos(qos));
-    cfg.allow_indirect_peer = true;
-    cfg
-}
-
-fn seeded_payload(seed: u64, bits: usize) -> Vec<u8> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    (0..bits).map(|_| (rng.gen::<u32>() & 1) as u8).collect()
-}
-
-/// The `ext_multi_tenant_noise` benign recipe: 8 tenants —
-/// vectoradd/histogram trace replays plus bursty noise kernels homed
-/// one NVLink hop away, so half the mix streams over the monitored
-/// fabric.
-fn benign_agents(sys: &mut MultiGpuSystem) -> Vec<Box<dyn Agent>> {
-    let mut agents: Vec<Box<dyn Agent>> = Vec::new();
-    for t in 0..8usize {
-        let gpu = GpuId::new((t % 4) as u8);
-        let pid = sys.create_process(gpu);
-        match t % 4 {
-            0 => {
-                let w = VectorAdd::new(2048 + 256 * t);
-                agents.push(Box::new(agent_for(sys, pid, &w as &dyn Workload).unwrap()));
-            }
-            1 => {
-                let w = Histogram::new(2048 + 256 * t, 32);
-                agents.push(Box::new(agent_for(sys, pid, &w as &dyn Workload).unwrap()));
-            }
-            _ => {
-                let remote = GpuId::new((t % 4 + 4) as u8);
-                sys.enable_peer_access(pid, remote).unwrap();
-                let buf = sys.malloc_on(pid, remote, 128 * 1024).unwrap();
-                agents.push(Box::new(NoiseAgent::new(
-                    pid,
-                    buf,
-                    1024,
-                    128,
-                    NoiseConfig {
-                        burst_len: 24,
-                        idle_between_bursts: 2_500 + 173 * t as u64,
-                        seed: 11 + t as u64,
-                    },
-                )));
-            }
-        }
-    }
-    agents
-}
-
-/// Steps `eng` window-by-window feeding `mon`, optionally deploying
-/// `respond` (scoped to the alarmed links) at the first alarm. Returns
-/// the deploy cycle, if any, and the engine's end-of-run clock.
-fn windowed_with_respond(
-    eng: &mut Engine<'_>,
-    mon: &mut Monitor,
-    until: u64,
+/// Runs `sys` window by window under a fresh `mon_cfg` monitor, with
+/// `respond` armed: the benign `mix` (if any) is launched first, then
+/// `tx` (if any) deferred to [`ATTACK_START`]. Runs to the
+/// transmission's grace end, or to [`BENIGN_CYCLES`] without one.
+/// Returns the monitor, the end clock and the respond deploy cycle.
+fn run_monitored(
+    sys: &mut MultiGpuSystem,
+    mix: Option<BenignMix>,
+    tx: Option<&mut Transmission<'_>>,
+    mon_cfg: &MonitorConfig,
     respond: Option<&QosConfig>,
-) -> (Option<u64>, u64) {
-    let w = mon.config().window_cycles;
-    let mut deployed = None;
-    loop {
-        let next = (mon.windows_observed() + 1) * w;
-        let end = next.min(until);
-        let clock = eng.run(end).expect("engine run");
-        mon.observe(eng.system().stats());
-        if deployed.is_none() && mon.alarmed() {
-            if let Some(q) = respond {
-                let scoped = q.with_scope(QosScope::links_mask(mon.alarmed_links()));
-                eng.system_mut().set_qos(scoped).expect("responsive deploy");
-                deployed = Some(end);
-            }
-        }
-        if end >= until || eng.all_done() {
-            return (deployed, clock);
-        }
+) -> (Monitor, u64, Option<u64>) {
+    let num_links = sys.config().topology.num_links();
+    let mut mon = Monitor::new(mon_cfg.clone(), num_links, sys.config().num_gpus as usize);
+    let mut eng = Engine::new(sys);
+    if let Some(mix) = mix {
+        mix.launch(&mut eng);
     }
+    let until = tx.map_or(BENIGN_CYCLES, |tx| {
+        tx.install(&mut eng, ATTACK_START);
+        tx.grace_end()
+    });
+    mon.prime(eng.system().stats());
+    let (end, deployed) = run_windowed(&mut eng, &mut mon, until, respond).expect("engine run");
+    (mon, end, deployed)
 }
 
 /// One benign-control run: the 8-tenant mix, no attacker, monitor on.
@@ -195,21 +137,11 @@ fn run_benign_monitored(
     respond: Option<&QosConfig>,
     seed: u64,
 ) -> BenignRun {
-    let mut sys = MultiGpuSystem::new(shared_config(seed, qos));
-    let agents = benign_agents(&mut sys);
-    let num_links = sys.config().topology.num_links();
-    let num_gpus = sys.config().num_gpus as usize;
-    let mut mon = Monitor::new(mon_cfg.clone(), num_links, num_gpus);
-    let mut eng = Engine::new(&mut sys);
-    for (i, a) in agents.into_iter().enumerate() {
-        eng.add_agent(a, 53 * i as u64);
-    }
-    mon.prime(eng.system().stats());
-    let (deploy_cycle, _) = windowed_with_respond(&mut eng, &mut mon, BENIGN_CYCLES, respond);
-    let alarms = mon.channels_alarmed();
-    drop(eng);
+    let mut sys = MultiGpuSystem::new(fabric_dgx1(seed, qos));
+    let mix = BenignMix::new(&mut sys);
+    let (mon, _, deploy_cycle) = run_monitored(&mut sys, Some(mix), None, mon_cfg, respond);
     BenignRun {
-        alarms,
+        alarms: mon.channels_alarmed(),
         issued_accesses: sys.stats().total().issued_accesses,
         deploy_cycle,
     }
@@ -234,6 +166,23 @@ struct DetectOutcome {
     /// duty-cycle stretching shrinks each burst but not the number of
     /// windows the burst lands in, so per-window CUSUM keeps flagging.
     suspicion: u64,
+}
+
+impl DetectOutcome {
+    /// This outcome as a row of the ROC table.
+    fn row(&self, scenario: String, config: &str) -> RocRow {
+        RocRow {
+            scenario,
+            config: config.into(),
+            false_alarms: self.pre_attack_alarms,
+            detected: self.alarmed,
+            latency_cycles: self.latency,
+            slots_leaked: self.slots_leaked,
+            detector: self.detector.clone(),
+            channel: self.channel.clone(),
+            suspicion: self.suspicion,
+        }
+    }
 }
 
 fn outcome_from(mon: &Monitor, slot_cycles: u64) -> DetectOutcome {
@@ -264,46 +213,19 @@ fn run_link_detect(
     payload: &[u8],
     seed: u64,
 ) -> DetectOutcome {
-    let mut sys = MultiGpuSystem::new(shared_config(seed, QosConfig::off()));
-    let agents = benign_agents(&mut sys);
-    let home = GpuId::new(5);
-    let page = sys.config().page_size;
-    let trojan = sys.create_process(GpuId::new(1));
-    let spy = sys.create_process(GpuId::new(0));
-    sys.enable_peer_access(trojan, home).unwrap();
-    sys.enable_peer_access(spy, home).unwrap();
-    let tb = sys.malloc_on(trojan, home, 32 * page).unwrap();
-    let sb = sys.malloc_on(spy, home, 2 * page).unwrap();
-    let tl: Vec<VirtAddr> = (0..32).map(|i| tb.offset(i * page)).collect();
-    let sl: Vec<VirtAddr> = (0..2).map(|i| sb.offset(i * page)).collect();
+    let mut sys = MultiGpuSystem::new(fabric_dgx1(seed, QosConfig::off()));
+    let mix = BenignMix::new(&mut sys);
+    let ends = LinkEndpoints::new(&mut sys, GpuId::new(1), GpuId::new(0), GpuId::new(5), 2);
     let params = ChannelParams {
-        spy_gap: 300,
         trojan_duty_pct: duty,
         trojan_slot_jitter: jitter,
-        ..Default::default()
+        ..link_params()
     };
-    let medium = LinkCongestionMedium {
-        trojan,
-        spy,
-        channel: LinkChannel {
-            trojan_lines: &tl,
-            spy_lines: &sl,
-            trojan_streams: 4,
-        },
-    };
+    let medium = ends.medium(4);
     let vote = Pipeline::vote(BoundaryPolicy::Quantile);
     let mut tx =
         Transmission::prepare(&mut sys, &medium, payload, &params, &vote).expect("medium prepare");
-    let num_links = sys.config().topology.num_links();
-    let num_gpus = sys.config().num_gpus as usize;
-    let mut mon = Monitor::new(mon_cfg.clone(), num_links, num_gpus);
-    let mut eng = Engine::new(&mut sys);
-    for (i, a) in agents.into_iter().enumerate() {
-        eng.add_agent(a, 53 * i as u64);
-    }
-    tx.install(&mut eng, ATTACK_START);
-    mon.prime(eng.system().stats());
-    windowed_with_respond(&mut eng, &mut mon, tx.grace_end(), None);
+    let (mon, ..) = run_monitored(&mut sys, Some(mix), Some(&mut tx), mon_cfg, None);
     outcome_from(&mon, params.slot_cycles)
 }
 
@@ -317,21 +239,12 @@ fn run_l2_detect(
     let params = ChannelParams::default();
     let mut setup = AttackSetup::prepare_fabric_qos(seed, GpuId::new(0), GpuId::new(5), QosConfig::off());
     let pairs = setup.aligned_pairs(4);
-    let agents = benign_agents(&mut setup.sys);
+    let mix = BenignMix::new(&mut setup.sys);
     let medium = setup.medium(&pairs);
     let vote = Pipeline::vote(BoundaryPolicy::TwoMeans);
     let mut tx = Transmission::prepare(&mut setup.sys, &medium, payload, &params, &vote)
         .expect("medium prepare");
-    let num_links = setup.sys.config().topology.num_links();
-    let num_gpus = setup.sys.config().num_gpus as usize;
-    let mut mon = Monitor::new(mon_cfg.clone(), num_links, num_gpus);
-    let mut eng = Engine::new(&mut setup.sys);
-    for (i, a) in agents.into_iter().enumerate() {
-        eng.add_agent(a, 53 * i as u64);
-    }
-    tx.install(&mut eng, ATTACK_START);
-    mon.prime(eng.system().stats());
-    windowed_with_respond(&mut eng, &mut mon, tx.grace_end(), None);
+    let (mon, ..) = run_monitored(&mut setup.sys, Some(mix), Some(&mut tx), mon_cfg, None);
     outcome_from(&mon, params.slot_cycles)
 }
 
@@ -355,48 +268,21 @@ fn run_link_respond(arm: Arm, payload: &[u8], seed: u64) -> RespondOutcome {
         Arm::AlwaysOn => full_qos(),
         _ => QosConfig::off(),
     };
-    let mut sys = MultiGpuSystem::new(shared_config(seed, boot_qos).noiseless());
-    let home = GpuId::new(5);
-    let page = sys.config().page_size;
-    let trojan = sys.create_process(GpuId::new(1));
-    let spy = sys.create_process(GpuId::new(0));
-    sys.enable_peer_access(trojan, home).unwrap();
-    sys.enable_peer_access(spy, home).unwrap();
-    let tb = sys.malloc_on(trojan, home, 32 * page).unwrap();
-    let sb = sys.malloc_on(spy, home, 2 * page).unwrap();
-    let tl: Vec<VirtAddr> = (0..32).map(|i| tb.offset(i * page)).collect();
-    let sl: Vec<VirtAddr> = (0..2).map(|i| sb.offset(i * page)).collect();
-    let params = ChannelParams {
-        spy_gap: 300,
-        ..Default::default()
-    };
-    let medium = LinkCongestionMedium {
-        trojan,
-        spy,
-        channel: LinkChannel {
-            trojan_lines: &tl,
-            spy_lines: &sl,
-            trojan_streams: 4,
-        },
-    };
+    let mut sys = MultiGpuSystem::new(fabric_dgx1(seed, boot_qos).noiseless());
+    let ends = LinkEndpoints::new(&mut sys, GpuId::new(1), GpuId::new(0), GpuId::new(5), 2);
+    let params = link_params();
+    let medium = ends.medium(4);
     let vote = Pipeline::vote(BoundaryPolicy::Quantile);
     let mut tx =
         Transmission::prepare(&mut sys, &medium, payload, &params, &vote).expect("medium prepare");
-    let num_links = sys.config().topology.num_links();
-    let num_gpus = sys.config().num_gpus as usize;
-    let mut mon = Monitor::new(MonitorConfig::default(), num_links, num_gpus);
-    let mut eng = Engine::new(&mut sys);
-    tx.install(&mut eng, ATTACK_START);
-    mon.prime(eng.system().stats());
     let respond_qos = full_qos();
     let respond = matches!(arm, Arm::Responsive).then_some(&respond_qos);
-    let (deploy_cycle, end) = windowed_with_respond(&mut eng, &mut mon, tx.grace_end(), respond);
-    let alarmed = mon.alarmed();
-    drop(eng);
+    let (mon, end, deploy_cycle) =
+        run_monitored(&mut sys, None, Some(&mut tx), &MonitorConfig::default(), respond);
     RespondOutcome {
         bit_errors: tx.report(&sys, end).bit_errors,
         deploy_cycle,
-        alarmed,
+        alarmed: mon.alarmed(),
     }
 }
 
@@ -407,34 +293,14 @@ fn run_link_respond(arm: Arm, payload: &[u8], seed: u64) -> RespondOutcome {
 fn run_fleet_health(payload: &[u8], seed: u64) -> (MetricSet, Vec<(u32, u64)>, usize) {
     let horizon = 450_000u64;
     // Node 0: clean.
-    let mut sys0 = MultiGpuSystem::new(shared_config(seed ^ 0xF1EE7, QosConfig::off()));
-    let agents0 = benign_agents(&mut sys0);
+    let mut sys0 = MultiGpuSystem::new(fabric_dgx1(seed ^ 0xF1EE7, QosConfig::off()));
+    let mix0 = BenignMix::new(&mut sys0);
     // Node 1: benign mix + deferred link trojan.
-    let mut sys1 = MultiGpuSystem::new(shared_config(seed, QosConfig::off()));
-    let agents1 = benign_agents(&mut sys1);
-    let home = GpuId::new(5);
-    let page = sys1.config().page_size;
-    let trojan = sys1.create_process(GpuId::new(1));
-    let spy = sys1.create_process(GpuId::new(0));
-    sys1.enable_peer_access(trojan, home).unwrap();
-    sys1.enable_peer_access(spy, home).unwrap();
-    let tb = sys1.malloc_on(trojan, home, 32 * page).unwrap();
-    let sb = sys1.malloc_on(spy, home, 2 * page).unwrap();
-    let tl: Vec<VirtAddr> = (0..32).map(|i| tb.offset(i * page)).collect();
-    let sl: Vec<VirtAddr> = (0..2).map(|i| sb.offset(i * page)).collect();
-    let params = ChannelParams {
-        spy_gap: 300,
-        ..Default::default()
-    };
-    let medium = LinkCongestionMedium {
-        trojan,
-        spy,
-        channel: LinkChannel {
-            trojan_lines: &tl,
-            spy_lines: &sl,
-            trojan_streams: 4,
-        },
-    };
+    let mut sys1 = MultiGpuSystem::new(fabric_dgx1(seed, QosConfig::off()));
+    let mix1 = BenignMix::new(&mut sys1);
+    let ends = LinkEndpoints::new(&mut sys1, GpuId::new(1), GpuId::new(0), GpuId::new(5), 2);
+    let params = link_params();
+    let medium = ends.medium(4);
     let vote = Pipeline::vote(BoundaryPolicy::Quantile);
     let mut tx =
         Transmission::prepare(&mut sys1, &medium, payload, &params, &vote).expect("medium prepare");
@@ -445,13 +311,9 @@ fn run_fleet_health(payload: &[u8], seed: u64) -> (MetricSet, Vec<(u32, u64)>, u
     let window = fleet.node(0).config().window_cycles;
 
     let mut eng0 = Engine::new(&mut sys0);
-    for (i, a) in agents0.into_iter().enumerate() {
-        eng0.add_agent(a, 53 * i as u64);
-    }
+    mix0.launch(&mut eng0);
     let mut eng1 = Engine::new(&mut sys1);
-    for (i, a) in agents1.into_iter().enumerate() {
-        eng1.add_agent(a, 53 * i as u64);
-    }
+    mix1.launch(&mut eng1);
     tx.install(&mut eng1, ATTACK_START);
 
     fleet.node_mut(0).prime(eng0.system().stats());
@@ -577,31 +439,11 @@ fn main() {
                 o.latency.unwrap()
             );
         }
-        rows.push(RocRow {
-            scenario: format!("link trojan duty={duty}% jitter={jitter}"),
-            config: "default".into(),
-            false_alarms: o.pre_attack_alarms,
-            detected: o.alarmed,
-            latency_cycles: o.latency,
-            slots_leaked: o.slots_leaked,
-            detector: o.detector.clone(),
-            channel: o.channel.clone(),
-            suspicion: o.suspicion,
-        });
+        rows.push(o.row(format!("link trojan duty={duty}% jitter={jitter}"), "default"));
     }
     // The sensitive config on the stealthiest point.
     let stealthy = run_link_detect(&configs[1].1, 30, 1500, &payload, seed);
-    rows.push(RocRow {
-        scenario: "link trojan duty=30% jitter=1500".into(),
-        config: "sensitive".into(),
-        false_alarms: stealthy.pre_attack_alarms,
-        detected: stealthy.alarmed,
-        latency_cycles: stealthy.latency,
-        slots_leaked: stealthy.slots_leaked,
-        detector: stealthy.detector.clone(),
-        channel: stealthy.channel.clone(),
-        suspicion: stealthy.suspicion,
-    });
+    rows.push(stealthy.row("link trojan duty=30% jitter=1500".into(), "sensitive"));
 
     // --- L2 Prime+Probe trojan -----------------------------------------
     let l2 = run_l2_detect(&configs[0].1, &payload, seed);
@@ -617,17 +459,7 @@ fn main() {
          ({} >= {l2_deadline} cycles)",
         l2.latency.unwrap()
     );
-    rows.push(RocRow {
-        scenario: "l2 prime+probe trojan".into(),
-        config: "default".into(),
-        false_alarms: l2.pre_attack_alarms,
-        detected: l2.alarmed,
-        latency_cycles: l2.latency,
-        slots_leaked: l2.slots_leaked,
-        detector: l2.detector.clone(),
-        channel: l2.channel.clone(),
-        suspicion: l2.suspicion,
-    });
+    rows.push(l2.row("l2 prime+probe trojan".into(), "default"));
 
     // --- respond arms: no defence / always-on / detect-then-throttle ---
     let none = run_link_respond(Arm::NoDefence, &payload, seed);

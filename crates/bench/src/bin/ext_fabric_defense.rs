@@ -25,11 +25,10 @@
 //!   defence harsh enough to break the offline phase itself (timing
 //!   clusters no longer separable, alignment finds no pairs) is
 //!   reported as a collapse;
-//! - a **benign multi-tenant mix** (the `ext_multi_tenant_noise`
-//!   recipe: vectoradd/histogram trace replays plus bursty noise
-//!   kernels, half the tenants streaming over NVLink), measuring the
-//!   defence's throughput cost as the drop in accesses completed
-//!   within a fixed simulated window.
+//! - the **benign multi-tenant mix** ([`BenignMix`]: vectoradd/histogram
+//!   trace replays plus bursty noise kernels, half the tenants
+//!   streaming over NVLink), measuring the defence's throughput cost as
+//!   the drop in accesses completed within a fixed simulated window.
 //!
 //! Each sweep runs once, on the default engine, through one parallel
 //! [`TrialRunner`] fan-out. Scheduler and fan-out invariance are proven
@@ -49,17 +48,13 @@
 //! `--payload-bits=48`).
 
 use gpubox_attacks::{
-    redecode_traces, transmit_over, BoundaryPolicy, ChannelParams, LinkChannel,
-    LinkCongestionMedium, OfflineCache, Pipeline, TrialRunner,
+    redecode_traces, transmit_over, BoundaryPolicy, ChannelParams, OfflineCache, Pipeline,
+    TrialRunner,
 };
-use gpubox_bench::{report, AttackSetup};
-use gpubox_sim::{
-    Agent, Engine, FabricConfig, GpuId, MultiGpuSystem, NoiseAgent, NoiseConfig, QosConfig,
-    SchedulerKind, SystemConfig, VirtAddr,
+use gpubox_bench::{
+    fabric_dgx1, link_params, report, seeded_payload, AttackSetup, BenignMix, LinkEndpoints,
 };
-use gpubox_workloads::{agent_for, Histogram, VectorAdd, Workload};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use gpubox_sim::{Engine, GpuId, MultiGpuSystem, QosConfig, SchedulerKind};
 
 /// One defence configuration on the sweep.
 #[derive(Debug, Clone, Copy)]
@@ -120,28 +115,6 @@ fn defences(seed: u64) -> Vec<Defence> {
     ]
 }
 
-/// The one shared system configuration (noisy fabric-enabled DGX-1,
-/// as `ext_two_hop_channel`) with a defence layered on.
-fn shared_config(seed: u64, qos: QosConfig) -> SystemConfig {
-    let mut cfg = SystemConfig::dgx1()
-        .with_seed(seed)
-        .with_fabric(FabricConfig::nvlink_v1().with_qos(qos));
-    cfg.allow_indirect_peer = true;
-    cfg
-}
-
-fn seeded_payload(seed: u64, bits: usize) -> Vec<u8> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    (0..bits).map(|_| (rng.gen::<u32>() & 1) as u8).collect()
-}
-
-fn link_params() -> ChannelParams {
-    ChannelParams {
-        spy_gap: 300,
-        ..Default::default()
-    }
-}
-
 /// Link-channel outcome under one defence.
 #[derive(Debug, Clone)]
 struct LinkOutcome {
@@ -153,30 +126,12 @@ struct LinkOutcome {
 /// link medium (see the module docs for why the port-pressure
 /// side-signal is excluded here).
 fn run_link(qos: QosConfig, payload: &[u8], seed: u64) -> LinkOutcome {
-    let mut sys = MultiGpuSystem::new(shared_config(seed, qos).noiseless());
-    let home = GpuId::new(5);
-    let page = sys.config().page_size;
-    let trojan = sys.create_process(GpuId::new(1));
-    let spy = sys.create_process(GpuId::new(0));
-    sys.enable_peer_access(trojan, home).unwrap();
-    sys.enable_peer_access(spy, home).unwrap();
-    let tb = sys.malloc_on(trojan, home, 32 * page).unwrap();
-    let sb = sys.malloc_on(spy, home, 2 * page).unwrap();
-    let tl: Vec<VirtAddr> = (0..32).map(|i| tb.offset(i * page)).collect();
-    let sl: Vec<VirtAddr> = (0..2).map(|i| sb.offset(i * page)).collect();
+    let mut sys = MultiGpuSystem::new(fabric_dgx1(seed, qos).noiseless());
+    let ends = LinkEndpoints::new(&mut sys, GpuId::new(1), GpuId::new(0), GpuId::new(5), 2);
     let params = link_params();
-    let medium = LinkCongestionMedium {
-        trojan,
-        spy,
-        channel: LinkChannel {
-            trojan_lines: &tl,
-            spy_lines: &sl,
-            trojan_streams: 4,
-        },
-    };
     let rep = transmit_over(
         &mut sys,
-        &medium,
+        &ends.medium(4),
         payload,
         &params,
         &Pipeline::vote(BoundaryPolicy::Quantile),
@@ -255,52 +210,13 @@ struct BenignOutcome {
     issued_accesses: u64,
 }
 
-/// Runs the benign multi-tenant mix (no attacker at all) under `qos`
-/// for `cycles` simulated cycles: 8 tenants in the
-/// `ext_multi_tenant_noise` recipe — vectoradd/histogram trace replays
-/// (local compute tenants) and bursty noise kernels whose buffers are
-/// homed one NVLink hop away, so half the mix streams over the fabric
-/// the defences act on.
+/// Runs the [`BenignMix`] (no attacker at all) under `qos` for `cycles`
+/// simulated cycles.
 fn run_benign(qos: QosConfig, cycles: u64, seed: u64) -> BenignOutcome {
-    let mut sys = MultiGpuSystem::new(shared_config(seed, qos));
-    let mut agents: Vec<Box<dyn Agent>> = Vec::new();
-    for t in 0..8usize {
-        let gpu = GpuId::new((t % 4) as u8);
-        let pid = sys.create_process(gpu);
-        match t % 4 {
-            0 => {
-                // Sized so the replay outlives the measured window.
-                let w = VectorAdd::new(2048 + 256 * t);
-                agents.push(Box::new(agent_for(&mut sys, pid, &w as &dyn Workload).unwrap()));
-            }
-            1 => {
-                let w = Histogram::new(2048 + 256 * t, 32);
-                agents.push(Box::new(agent_for(&mut sys, pid, &w as &dyn Workload).unwrap()));
-            }
-            _ => {
-                // Remote tenant: buffer homed one hop away (g ↔ g+4),
-                // every access crosses a distinct NVLink link.
-                let remote = GpuId::new((t % 4 + 4) as u8);
-                sys.enable_peer_access(pid, remote).unwrap();
-                let buf = sys.malloc_on(pid, remote, 128 * 1024).unwrap();
-                agents.push(Box::new(NoiseAgent::new(
-                    pid,
-                    buf,
-                    1024,
-                    128,
-                    NoiseConfig {
-                        burst_len: 24,
-                        idle_between_bursts: 2_500 + 173 * t as u64,
-                        seed: 11 + t as u64,
-                    },
-                )));
-            }
-        }
-    }
+    let mut sys = MultiGpuSystem::new(fabric_dgx1(seed, qos));
+    let mix = BenignMix::new(&mut sys);
     let mut eng = Engine::new(&mut sys);
-    for (i, a) in agents.into_iter().enumerate() {
-        eng.add_agent(a, 53 * i as u64);
-    }
+    mix.launch(&mut eng);
     eng.run(cycles).unwrap();
     drop(eng);
     BenignOutcome {
@@ -357,12 +273,12 @@ fn main() {
     {
         let params = ChannelParams::default();
         let run_with = |cache: Option<&OfflineCache>| {
-            let mut cfg = SystemConfig::dgx1()
-                .with_seed(seed)
-                .with_fabric(FabricConfig::nvlink_v1().with_qos(defs[0].qos));
-            cfg.allow_indirect_peer = true;
-            let mut setup =
-                AttackSetup::prepare_with_cache(cfg, GpuId::new(0), GpuId::new(5), cache);
+            let mut setup = AttackSetup::prepare_with_cache(
+                fabric_dgx1(seed, defs[0].qos),
+                GpuId::new(0),
+                GpuId::new(5),
+                cache,
+            );
             let cached = setup.offline_cached;
             let pairs = setup.aligned_pairs(4);
             let medium = setup.medium(&pairs);

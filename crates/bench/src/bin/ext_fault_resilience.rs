@@ -52,15 +52,13 @@
 //! (defaults: 64 bits, seed 0xFA17).
 
 use gpubox_attacks::{
-    transmit_over, transmit_resilient, BoundaryPolicy, ChannelParams, Coding, L2SetMedium,
-    LinkChannel, LinkCongestionMedium, Pipeline, RetryConfig, TrialRunner,
+    transmit_over, transmit_resilient, BoundaryPolicy, ChannelParams, Coding, Pipeline,
+    RetryConfig, TrialRunner,
 };
-use gpubox_bench::{report, AttackSetup};
+use gpubox_bench::{report, seeded_payload, AttackSetup, LinkEndpoints};
 use gpubox_sim::{
     FabricConfig, FaultPlan, GpuId, MultiGpuSystem, SchedulerKind, SystemConfig, Topology,
 };
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 
 /// One fault intensity on the sweep. Windows are in slots so both
 /// families place the fault mid-transmission regardless of their
@@ -145,11 +143,6 @@ fn fault_cases() -> Vec<FaultCase> {
     ]
 }
 
-fn seeded_payload(seed: u64, bits: usize) -> Vec<u8> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    (0..bits).map(|_| (rng.gen::<u32>() & 1) as u8).collect()
-}
-
 /// The hardened transport's retransmission policy: small frames to
 /// localise fault damage, a backoff (24 slots) close to the fault
 /// window's width so successive retries step clear of it quickly.
@@ -206,32 +199,16 @@ fn run_link(case: &FaultCase, payload: &[u8], seed: u64) -> Outcome {
             .with_seed(seed)
             .with_fabric(FabricConfig::nvlink_v1());
         let mut sys = MultiGpuSystem::new(cfg);
-        let trojan = sys.create_process(GpuId::new(1));
-        let spy = sys.create_process(GpuId::new(1));
-        sys.enable_peer_access(trojan, GpuId::new(0)).unwrap();
-        sys.enable_peer_access(spy, GpuId::new(0)).unwrap();
-        let tb = sys.malloc_on(trojan, GpuId::new(0), 32 * 4096).unwrap();
-        let sb = sys.malloc_on(spy, GpuId::new(0), 8 * 4096).unwrap();
+        let ends = LinkEndpoints::new(&mut sys, GpuId::new(1), GpuId::new(1), GpuId::new(0), 8);
         sys.set_fault_plan(case.plan(0, params.slot_cycles, seed))
             .unwrap();
-        let tl: Vec<_> = (0..32).map(|i| tb.offset(i * 4096)).collect();
-        let sl: Vec<_> = (0..8).map(|i| sb.offset(i * 4096)).collect();
-        (sys, trojan, spy, tl, sl)
+        (sys, ends)
     };
 
-    let (mut sys, trojan, spy, tl, sl) = build();
-    let medium = LinkCongestionMedium {
-        trojan,
-        spy,
-        channel: LinkChannel {
-            trojan_lines: &tl,
-            spy_lines: &sl,
-            trojan_streams: 2,
-        },
-    };
+    let (mut sys, ends) = build();
     let naive = transmit_over(
         &mut sys,
-        &medium,
+        &ends.medium(2),
         payload,
         &params,
         &Pipeline::vote(BoundaryPolicy::Quantile),
@@ -239,19 +216,10 @@ fn run_link(case: &FaultCase, payload: &[u8], seed: u64) -> Outcome {
     )
     .expect("naive link transmission");
 
-    let (mut sys, trojan, spy, tl, sl) = build();
-    let medium = LinkCongestionMedium {
-        trojan,
-        spy,
-        channel: LinkChannel {
-            trojan_lines: &tl,
-            spy_lines: &sl,
-            trojan_streams: 2,
-        },
-    };
+    let (mut sys, ends) = build();
     let hardened = transmit_resilient(
         &mut sys,
-        &medium,
+        &ends.medium(2),
         payload,
         &params,
         &hardened_pipeline(BoundaryPolicy::Quantile),
@@ -294,12 +262,7 @@ fn run_l2(case: &FaultCase, payload: &[u8], seed: u64) -> Outcome {
             .sys
             .set_fault_plan(case.plan(link, params.slot_cycles, seed))
             .unwrap();
-        let medium = L2SetMedium {
-            trojan: setup.trojan,
-            spy: setup.spy,
-            pairs: &pairs,
-            thresholds: setup.thresholds,
-        };
+        let medium = setup.medium(&pairs);
         if naive {
             let rep = transmit_over(
                 &mut setup.sys,

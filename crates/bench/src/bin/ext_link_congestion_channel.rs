@@ -29,16 +29,14 @@
 //! (defaults: 64 bits, seed 0x11F0; CI passes `--payload-bits=32`).
 
 use gpubox_attacks::{
-    redecode_traces, transmit_over, BoundaryPolicy, ChannelParams, LinkChannel,
-    LinkCongestionMedium, Pipeline, TrialRunner, Transmission,
+    redecode_traces, transmit_over, BoundaryPolicy, LinkChannel, LinkCongestionMedium, Pipeline,
+    TrialRunner, Transmission,
 };
-use gpubox_bench::report;
+use gpubox_bench::{fabric_dgx1, link_params, report, seeded_payload, LinkEndpoints};
 use gpubox_sim::{
-    Engine, FabricConfig, GpuId, MultiGpuSystem, NoiseAgent, NoiseConfig, ProcessId,
+    Engine, FabricConfig, GpuId, MultiGpuSystem, NoiseAgent, NoiseConfig, ProcessId, QosConfig,
     SchedulerKind, SystemConfig, VirtAddr,
 };
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 
 /// One sweep configuration.
 #[derive(Debug, Clone, Copy)]
@@ -104,20 +102,6 @@ struct Outcome {
     mf_bit_errors: usize,
 }
 
-fn channel_params() -> ChannelParams {
-    ChannelParams {
-        spy_gap: 300,
-        ..Default::default()
-    }
-}
-
-/// Seeded pseudorandom payload — the receiver never sees it, so decoding
-/// it back is genuine transmission, not a constant.
-fn seeded_payload(seed: u64, bits: usize) -> Vec<u8> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    (0..bits).map(|_| (rng.gen::<u32>() & 1) as u8).collect()
-}
-
 /// Runs one sweep point and returns the full observable outcome.
 fn run_point(p: Point, payload: &[u8], seed: u64) -> Outcome {
     let fabric = if p.duplex {
@@ -164,7 +148,7 @@ fn run_point(p: Point, payload: &[u8], seed: u64) -> Outcome {
         tenant_bufs.push((pid, buf));
     }
 
-    let params = channel_params();
+    let params = link_params();
 
     // Shared library wiring (warm-up, spy, staggered trojan streams);
     // the sweep adds its background tenants on top.
@@ -312,36 +296,13 @@ fn main() {
         "2-hop noiseless channel error rate {ber} exceeds 5%"
     );
     {
-        let mut cfg = SystemConfig::dgx1()
-            .with_seed(seed)
-            .with_fabric(FabricConfig::nvlink_v1())
-            .noiseless();
-        cfg.allow_indirect_peer = true;
-        let mut sys = MultiGpuSystem::new(cfg);
-        let home = GpuId::new(5);
-        let page = sys.config().page_size;
-        let trojan = sys.create_process(GpuId::new(1));
-        let spy = sys.create_process(GpuId::new(0));
-        sys.enable_peer_access(trojan, home).unwrap();
-        sys.enable_peer_access(spy, home).unwrap();
-        let tb = sys.malloc_on(trojan, home, 32 * page).unwrap();
-        let sb = sys.malloc_on(spy, home, 2 * page).unwrap();
-        let tl: Vec<VirtAddr> = (0..32).map(|i| tb.offset(i * page)).collect();
-        let sl: Vec<VirtAddr> = (0..2).map(|i| sb.offset(i * page)).collect();
-        let medium = LinkCongestionMedium {
-            trojan,
-            spy,
-            channel: LinkChannel {
-                trojan_lines: &tl,
-                spy_lines: &sl,
-                trojan_streams: 4,
-            },
-        };
+        let mut sys = MultiGpuSystem::new(fabric_dgx1(seed, QosConfig::off()).noiseless());
+        let ends = LinkEndpoints::new(&mut sys, GpuId::new(1), GpuId::new(0), GpuId::new(5), 2);
         let rep = transmit_over(
             &mut sys,
-            &medium,
+            &ends.medium(4),
             &payload,
-            &channel_params(),
+            &link_params(),
             &Pipeline::vote(BoundaryPolicy::Quantile),
             SchedulerKind::Auto,
         )

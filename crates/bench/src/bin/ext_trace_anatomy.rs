@@ -35,14 +35,11 @@
 
 use gpubox_attacks::covert::bits_from_bytes;
 use gpubox_attacks::{
-    extract_anatomy, transmit_resilient, BoundaryPolicy, ChannelParams, LinkChannel,
-    LinkCongestionMedium, Pipeline, RetryConfig,
+    extract_anatomy, transmit_resilient, BoundaryPolicy, ChannelParams, Pipeline, RetryConfig,
 };
-use gpubox_bench::report;
+use gpubox_bench::{report, LinkEndpoints};
 use gpubox_sim::telemetry::{chrome_trace_json, human_timeline, validate_json, TraceKind};
-use gpubox_sim::{
-    FabricConfig, FaultPlan, GpuId, MultiGpuSystem, SchedulerKind, SystemConfig, VirtAddr,
-};
+use gpubox_sim::{FabricConfig, FaultPlan, GpuId, MultiGpuSystem, SchedulerKind, SystemConfig};
 
 fn main() {
     report::header(
@@ -58,14 +55,7 @@ fn main() {
         .noiseless()
         .with_fabric(FabricConfig::nvlink_v1());
     let mut sys = MultiGpuSystem::new(cfg);
-    let trojan = sys.create_process(GpuId::new(1));
-    let spy = sys.create_process(GpuId::new(1));
-    sys.enable_peer_access(trojan, GpuId::new(0)).unwrap();
-    sys.enable_peer_access(spy, GpuId::new(0)).unwrap();
-    let tb = sys.malloc_on(trojan, GpuId::new(0), 32 * 4096).unwrap();
-    let sb = sys.malloc_on(spy, GpuId::new(0), 8 * 4096).unwrap();
-    let trojan_lines: Vec<VirtAddr> = (0..32).map(|i| tb.offset(i * 4096)).collect();
-    let spy_lines: Vec<VirtAddr> = (0..8).map(|i| sb.offset(i * 4096)).collect();
+    let ends = LinkEndpoints::new(&mut sys, GpuId::new(1), GpuId::new(1), GpuId::new(0), 8);
 
     // Tracing on BEFORE the fault plan is installed, so the plan's
     // epoch records land in the ring next to the stalls observed later.
@@ -81,19 +71,10 @@ fn main() {
     sys.set_fault_plan(FaultPlan::none().with_link_down(0, outage_from, outage_until))
         .unwrap();
 
-    let medium = LinkCongestionMedium {
-        trojan,
-        spy,
-        channel: LinkChannel {
-            trojan_lines: &trojan_lines,
-            spy_lines: &spy_lines,
-            trojan_streams: 2,
-        },
-    };
     let payload = bits_from_bytes(b"survive it");
     let rep = transmit_resilient(
         &mut sys,
-        &medium,
+        &ends.medium(2),
         &payload,
         &params,
         &Pipeline::vote(BoundaryPolicy::Quantile),

@@ -4,17 +4,17 @@
 //! The paper's central claim is that multi-GPU boxes leak over several
 //! media with the same protocol on top. This sweep stages both media on
 //! the *same* DGX-1 configuration — timed link fabric on
-//! ([`FabricConfig::nvlink_v1`]), indirect peer routing allowed, full
+//! ([`gpubox_sim::FabricConfig::nvlink_v1`]), indirect peer routing allowed, full
 //! timing noise — with the same seeded payload, and prints bandwidth
 //! and bit error side by side, per decoder:
 //!
-//! - **Prime+Probe / L2** ([`L2SetMedium`]): trojan on GPU0, spy on
+//! - **Prime+Probe / L2** ([`gpubox_attacks::L2SetMedium`]): trojan on GPU0, spy on
 //!   GPU5 (different quads, no direct link — every probe crosses a
 //!   2-hop route paying real per-link occupancy). Four aligned set
 //!   pairs; the offline phase re-derives thresholds with the fabric
 //!   enabled, so the shifted 2-hop clusters (hit ≈ 990+, miss ≈ 1450+
 //!   plus link serialisation) are absorbed by calibration.
-//! - **Link congestion** ([`LinkCongestionMedium`]): trojan on GPU1
+//! - **Link congestion** ([`gpubox_attacks::LinkCongestionMedium`]): trojan on GPU1
 //!   saturating its route to GPU5's memory, spy on GPU0 whose 0-1-5
 //!   route shares link (1,5) — no shared cache set at all.
 //!
@@ -35,15 +35,10 @@
 //! (defaults: 256 bits, seed 2525; CI passes `--payload-bits=128`).
 
 use gpubox_attacks::{
-    redecode_traces, transmit_over, BoundaryPolicy, ChannelParams, L2SetMedium, LinkChannel,
-    LinkCongestionMedium, Pipeline, TrialRunner,
+    redecode_traces, transmit_over, BoundaryPolicy, ChannelParams, Pipeline, TrialRunner,
 };
-use gpubox_bench::{report, AttackSetup};
-use gpubox_sim::{
-    FabricConfig, GpuId, MultiGpuSystem, SchedulerKind, SystemConfig, VirtAddr,
-};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use gpubox_bench::{fabric_dgx1, link_params, report, seeded_payload, AttackSetup, LinkEndpoints};
+use gpubox_sim::{GpuId, MultiGpuSystem, QosConfig, SchedulerKind};
 
 /// One channel family on the shared configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,10 +70,7 @@ impl Family {
     fn params(self) -> ChannelParams {
         match self {
             Family::L2PrimeProbe => ChannelParams::default(),
-            Family::LinkCongestion => ChannelParams {
-                spy_gap: 300,
-                ..Default::default()
-            },
+            Family::LinkCongestion => link_params(),
         }
     }
 }
@@ -95,20 +87,6 @@ struct Outcome {
     slot_latency_p99: u64,
 }
 
-/// The one shared system configuration both families run on.
-fn shared_config(seed: u64) -> SystemConfig {
-    let mut cfg = SystemConfig::dgx1()
-        .with_seed(seed)
-        .with_fabric(FabricConfig::nvlink_v1());
-    cfg.allow_indirect_peer = true;
-    cfg
-}
-
-fn seeded_payload(seed: u64, bits: usize) -> Vec<u8> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    (0..bits).map(|_| (rng.gen::<u32>() & 1) as u8).collect()
-}
-
 /// Runs one family once: transmits with the medium's default vote
 /// pipeline, then re-decodes the same traces with the matched filter
 /// (transport-independent receive stack — no second transmission
@@ -119,42 +97,18 @@ fn run_family(family: Family, payload: &[u8], seed: u64) -> Outcome {
     let pipeline = Pipeline::vote(policy);
     let rep = match family {
         Family::L2PrimeProbe => {
-            // Same shared_config as the link family — the one-config
-            // invariant is structural, not copied.
-            let mut setup =
-                AttackSetup::prepare_between(shared_config(seed), GpuId::new(0), GpuId::new(5));
+            // prepare_fabric boots the link family's fabric_dgx1 config
+            // — the one-config invariant is structural, not copied.
+            let mut setup = AttackSetup::prepare_fabric(seed, GpuId::new(0), GpuId::new(5));
             let pairs = setup.aligned_pairs(4);
-            let medium = L2SetMedium {
-                trojan: setup.trojan,
-                spy: setup.spy,
-                pairs: &pairs,
-                thresholds: setup.thresholds,
-            };
+            let medium = setup.medium(&pairs);
             transmit_over(&mut setup.sys, &medium, payload, &params, &pipeline, SchedulerKind::Auto)
                 .expect("L2 transmission")
         }
         Family::LinkCongestion => {
-            let mut sys = MultiGpuSystem::new(shared_config(seed));
-            let home = GpuId::new(5);
-            let page = sys.config().page_size;
-            let trojan = sys.create_process(GpuId::new(1));
-            let spy = sys.create_process(GpuId::new(0));
-            sys.enable_peer_access(trojan, home).unwrap();
-            sys.enable_peer_access(spy, home).unwrap();
-            let tb = sys.malloc_on(trojan, home, 32 * page).unwrap();
-            let sb = sys.malloc_on(spy, home, 2 * page).unwrap();
-            let tl: Vec<VirtAddr> = (0..32).map(|i| tb.offset(i * page)).collect();
-            let sl: Vec<VirtAddr> = (0..2).map(|i| sb.offset(i * page)).collect();
-            let medium = LinkCongestionMedium {
-                trojan,
-                spy,
-                channel: LinkChannel {
-                    trojan_lines: &tl,
-                    spy_lines: &sl,
-                    trojan_streams: 4,
-                },
-            };
-            transmit_over(&mut sys, &medium, payload, &params, &pipeline, SchedulerKind::Auto)
+            let mut sys = MultiGpuSystem::new(fabric_dgx1(seed, QosConfig::off()));
+            let ends = LinkEndpoints::new(&mut sys, GpuId::new(1), GpuId::new(0), GpuId::new(5), 2);
+            transmit_over(&mut sys, &ends.medium(4), payload, &params, &pipeline, SchedulerKind::Auto)
                 .expect("link transmission")
         }
     };

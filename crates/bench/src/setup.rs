@@ -1,5 +1,16 @@
 //! Shared experiment scaffolding: boots a DGX-1, runs the offline
 //! reverse-engineering pipeline, and hands out aligned eviction sets.
+//! It also holds the one copy of each fixture the channel experiments
+//! share:
+//!
+//! - [`fabric_dgx1`]: the noisy fabric-enabled DGX-1 (timed NVLink
+//!   fabric, indirect peer routing) with a QoS configuration layered on;
+//! - [`LinkEndpoints`] and [`link_params`]: the trojan/spy pair of the
+//!   NVLink link-congestion channel and its DGX-1 channel parameters;
+//! - [`BenignMix`]: the 8-tenant fabric-crossing benign mix the
+//!   monitors and defences are measured against;
+//! - [`seeded_payload`]: the seeded pseudorandom payload every sweep
+//!   transmits.
 //!
 //! The offline phase here is the **production path**: group-testing page
 //! classification ([`gpubox_attacks::classify_pages_fast`]) and an
@@ -14,12 +25,16 @@
 use gpubox_attacks::timing_re::measure_timing;
 use gpubox_attacks::{
     align_classes, classify_pages_fast, offline_fingerprint, verify_classes_against_oracle,
-    AlignmentConfig, CacheOutcome, L2SetMedium, Locality, OfflineArtifacts, OfflineCache,
-    PageClasses, ScanConfig, SetPair, Thresholds,
+    AlignmentConfig, CacheOutcome, ChannelParams, L2SetMedium, LinkChannel, LinkCongestionMedium,
+    Locality, OfflineArtifacts, OfflineCache, PageClasses, ScanConfig, SetPair, Thresholds,
 };
 use gpubox_sim::{
-    FabricConfig, GpuId, MultiGpuSystem, ProcessCtx, ProcessId, QosConfig, SystemConfig,
+    Agent, Engine, FabricConfig, GpuId, MultiGpuSystem, NoiseAgent, NoiseConfig, ProcessCtx,
+    ProcessId, QosConfig, SystemConfig, VirtAddr,
 };
+use gpubox_workloads::{agent_for, Histogram, VectorAdd};
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 /// The standard experiment scale: attacker buffers of this many bytes on
 /// the target GPU (256 pages of 64 KiB → ~64 pages per alignment class).
@@ -102,11 +117,7 @@ impl AttackSetup {
     /// separable, too few aligned pairs), which the defence experiment
     /// treats as the strongest possible outcome.
     pub fn prepare_fabric_qos(seed: u64, trojan_gpu: GpuId, spy_gpu: GpuId, qos: QosConfig) -> Self {
-        let mut cfg = SystemConfig::dgx1()
-            .with_seed(seed)
-            .with_fabric(FabricConfig::nvlink_v1().with_qos(qos));
-        cfg.allow_indirect_peer = true;
-        Self::prepare_between(cfg, trojan_gpu, spy_gpu)
+        Self::prepare_between(fabric_dgx1(seed, qos), trojan_gpu, spy_gpu)
     }
 
     /// As [`AttackSetup::prepare`], for an arbitrary configuration and
@@ -299,6 +310,167 @@ impl AttackSetup {
             spy: self.spy,
             pairs,
             thresholds: self.thresholds,
+        }
+    }
+}
+
+/// The fabric-enabled DGX-1 every fabric experiment shares: full timing
+/// noise, the timed per-link interconnect ([`FabricConfig::nvlink_v1`])
+/// running `qos`, and indirect peer routing allowed, so GPUs in
+/// different quads can reach each other's memory over 2-hop routes.
+pub fn fabric_dgx1(seed: u64, qos: QosConfig) -> SystemConfig {
+    let mut cfg = SystemConfig::dgx1()
+        .with_seed(seed)
+        .with_fabric(FabricConfig::nvlink_v1().with_qos(qos));
+    cfg.allow_indirect_peer = true;
+    cfg
+}
+
+/// `bits` pseudorandom payload bits drawn from `seed`: the receiver
+/// never sees them, so decoding them back is genuine transmission, not
+/// a constant.
+pub fn seeded_payload(seed: u64, bits: usize) -> Vec<u8> {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    (0..bits).map(|_| (rng.gen::<u32>() & 1) as u8).collect()
+}
+
+/// Pages in the trojan's buffer of a [`LinkEndpoints`] pair: every
+/// transfer burst streams one line of each.
+const LINK_TROJAN_PAGES: u64 = 32;
+
+/// Channel parameters of the link-congestion channel on the DGX-1: the
+/// default slot with a 300-cycle gap between spy transfers.
+pub fn link_params() -> ChannelParams {
+    ChannelParams {
+        spy_gap: 300,
+        ..Default::default()
+    }
+}
+
+/// Both endpoints of an NVLink link-congestion channel: a trojan and a
+/// spy, each streaming its own buffer homed on one GPU, so the channel
+/// runs over whatever links their two routes share. One line per page,
+/// so every line is a distinct remote transfer.
+#[derive(Debug, Clone)]
+pub struct LinkEndpoints {
+    /// Trojan process.
+    pub trojan: ProcessId,
+    /// Spy process.
+    pub spy: ProcessId,
+    /// One line per page of the trojan's 32-page buffer.
+    pub trojan_lines: Vec<VirtAddr>,
+    /// One line per page of the spy's buffer.
+    pub spy_lines: Vec<VirtAddr>,
+}
+
+impl LinkEndpoints {
+    /// Creates the trojan on `trojan_gpu` and the spy on `spy_gpu`,
+    /// gives both peer access to `home`, and allocates there 32 trojan
+    /// pages, then `spy_pages` spy pages. This order of process creation
+    /// and allocation fixes the frame placement every link-channel
+    /// golden was captured under.
+    ///
+    /// # Panics
+    ///
+    /// Panics on simulator errors (no route to `home`, out of frames).
+    pub fn new(
+        sys: &mut MultiGpuSystem,
+        trojan_gpu: GpuId,
+        spy_gpu: GpuId,
+        home: GpuId,
+        spy_pages: u64,
+    ) -> Self {
+        let page = sys.config().page_size;
+        let trojan = sys.create_process(trojan_gpu);
+        let spy = sys.create_process(spy_gpu);
+        sys.enable_peer_access(trojan, home).expect("trojan peer access");
+        sys.enable_peer_access(spy, home).expect("spy peer access");
+        let tb = sys
+            .malloc_on(trojan, home, LINK_TROJAN_PAGES * page)
+            .expect("trojan buffer");
+        let sb = sys.malloc_on(spy, home, spy_pages * page).expect("spy buffer");
+        LinkEndpoints {
+            trojan,
+            spy,
+            trojan_lines: (0..LINK_TROJAN_PAGES).map(|i| tb.offset(i * page)).collect(),
+            spy_lines: (0..spy_pages).map(|i| sb.offset(i * page)).collect(),
+        }
+    }
+
+    /// The link-congestion medium between these endpoints, the trojan
+    /// driving `trojan_streams` concurrent transfer streams.
+    pub fn medium(&self, trojan_streams: usize) -> LinkCongestionMedium<'_> {
+        LinkCongestionMedium {
+            trojan: self.trojan,
+            spy: self.spy,
+            channel: LinkChannel {
+                trojan_lines: &self.trojan_lines,
+                spy_lines: &self.spy_lines,
+                trojan_streams,
+            },
+        }
+    }
+}
+
+/// The benign multi-tenant mix the fabric monitors and defences are
+/// measured against. Eight tenants, two per GPU on GPUs 0-3 (tenant `t`
+/// on GPU `t % 4`):
+///
+/// - `t % 4 == 0`: a vectoradd trace replay over `2048 + 256·t`
+///   elements;
+/// - `t % 4 == 1`: a 32-bin histogram trace replay over `2048 + 256·t`
+///   elements;
+/// - `t % 4 >= 2`: a bursty noise kernel (24-access bursts, idle
+///   `2500 + 173·t` cycles between them) over a 128 KiB buffer homed on
+///   GPU `t % 4 + 4`, one NVLink hop away — so half the mix streams
+///   over the fabric.
+///
+/// The replays are sized to outlive the experiments' measured windows.
+pub struct BenignMix {
+    agents: Vec<Box<dyn Agent>>,
+}
+
+impl BenignMix {
+    /// Creates the eight tenants' processes, buffers and agents on
+    /// `sys`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on simulator errors.
+    pub fn new(sys: &mut MultiGpuSystem) -> Self {
+        let agents = (0..8usize)
+            .map(|t| -> Box<dyn Agent> {
+                let pid = sys.create_process(GpuId::new((t % 4) as u8));
+                let elems = 2048 + 256 * t;
+                match t % 4 {
+                    0 => Box::new(agent_for(sys, pid, &VectorAdd::new(elems)).unwrap()),
+                    1 => Box::new(agent_for(sys, pid, &Histogram::new(elems, 32)).unwrap()),
+                    _ => {
+                        let remote = GpuId::new((t % 4 + 4) as u8);
+                        sys.enable_peer_access(pid, remote).unwrap();
+                        let buf = sys.malloc_on(pid, remote, 128 * 1024).unwrap();
+                        Box::new(NoiseAgent::new(
+                            pid,
+                            buf,
+                            1024,
+                            128,
+                            NoiseConfig {
+                                burst_len: 24,
+                                idle_between_bursts: 2_500 + 173 * t as u64,
+                                seed: 11 + t as u64,
+                            },
+                        ))
+                    }
+                }
+            })
+            .collect();
+        BenignMix { agents }
+    }
+
+    /// Adds the tenants to `eng`, tenant `i` launching at cycle `53·i`.
+    pub fn launch(self, eng: &mut Engine<'_>) {
+        for (i, a) in self.agents.into_iter().enumerate() {
+            eng.add_agent(a, 53 * i as u64);
         }
     }
 }

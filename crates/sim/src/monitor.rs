@@ -83,6 +83,7 @@
 
 use crate::engine::Engine;
 use crate::error::SimResult;
+use crate::qos::{QosConfig, QosScope};
 use crate::stats::SystemStats;
 use crate::telemetry::MetricSet;
 
@@ -636,21 +637,42 @@ impl Monitor {
 
 /// Steps `eng` to `until` in monitor-sized windows, feeding each
 /// window's cumulative stats to `mon`. Stops early when every agent is
-/// done. Returns the cycle reported by the last [`Engine::run`] call.
+/// done. Returns the cycle reported by the last [`Engine::run`] call
+/// and, when `respond` is given, the cycle at which it was deployed.
+///
+/// `respond` is the detect-then-throttle arm: at the end of the first
+/// window in which `mon` has alarmed, `respond` is deployed
+/// ([`MultiGpuSystem::set_qos`](crate::system::MultiGpuSystem::set_qos))
+/// scoped to the alarmed links only.
 ///
 /// The engine is resumable, so this is exactly the PR 8 stats-diffing
 /// idiom: no hook runs inside the hot path, the monitor only sees
 /// boundary snapshots.
-pub fn run_windowed(eng: &mut Engine<'_>, mon: &mut Monitor, until: u64) -> SimResult<u64> {
+///
+/// # Errors
+///
+/// Propagates engine errors and a rejected `respond` deployment.
+pub fn run_windowed(
+    eng: &mut Engine<'_>,
+    mon: &mut Monitor,
+    until: u64,
+    respond: Option<&QosConfig>,
+) -> SimResult<(u64, Option<u64>)> {
     let w = mon.config().window_cycles;
     let mut reached = 0;
+    let mut deployed = None;
     loop {
         let next = (mon.windows_observed() + 1) * w;
         let end = next.min(until);
         reached = eng.run(end)?.max(reached);
         mon.observe(eng.system().stats());
+        if let Some(q) = respond.filter(|_| deployed.is_none() && mon.alarmed()) {
+            let scoped = q.with_scope(QosScope::links_mask(mon.alarmed_links()));
+            eng.system_mut().set_qos(scoped)?;
+            deployed = Some(end);
+        }
         if end >= until || eng.all_done() {
-            return Ok(reached);
+            return Ok((reached, deployed));
         }
     }
 }

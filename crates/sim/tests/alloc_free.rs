@@ -440,9 +440,9 @@ fn monitored_steady_state_allocs(kind: SchedulerKind, agents: usize) -> u64 {
     }
     // Warm-up: past detector calibration (64 windows × 1500 cycles)
     // and every engine scratch sizing.
-    run_windowed(&mut eng, &mut mon, 600_000).unwrap();
+    run_windowed(&mut eng, &mut mon, 600_000, None).unwrap();
     let before = alloc_calls();
-    run_windowed(&mut eng, &mut mon, 6_000_000).unwrap();
+    run_windowed(&mut eng, &mut mon, 6_000_000, None).unwrap();
     let allocs = alloc_calls() - before;
     assert!(
         mon.windows_observed() >= 4000,

@@ -3,7 +3,7 @@
 //! paper Sec. IV (eviction sets → alignment → Prime+Probe transmission).
 //!
 //! Run with:
-//! `cargo run --release -p gpubox-bench --example covert_chat -- "your message" [sets]`
+//! `cargo run --release --example covert_chat -- "your message" [sets]`
 
 use gpubox_attacks::covert::{bits_from_bytes, bytes_from_bits};
 use gpubox_attacks::{transmit_over, BoundaryPolicy, ChannelParams, Pipeline};
@@ -51,6 +51,6 @@ fn main() {
         report.sent.len(),
         report.error_rate * 100.0,
         report.bandwidth_bytes_per_sec / 1e3,
-        report.duration_cycles as f64 / 1.48e9 * 1e3,
+        setup.sys.latency_model().cycles_to_seconds(report.duration_cycles) * 1e3,
     );
 }

@@ -1,7 +1,7 @@
 //! Fingerprint spy: train an offline classifier on known workloads, then
 //! identify what an unsuspecting victim GPU is running (paper Sec. V-A).
 //!
-//! Run with: `cargo run --release -p gpubox-bench --example fingerprint_spy -- [samples_per_class]`
+//! Run with: `cargo run --release --example fingerprint_spy -- [samples_per_class]`
 
 use gpubox_attacks::side::{record_memorygram, FingerprintDataset, RecorderConfig};
 use gpubox_bench::{setup::victim_with_duration, SideChannelSetup};

@@ -1,7 +1,7 @@
 //! Model extraction: infer the hidden-layer width and the number of
 //! training epochs of an MLP training on a remote GPU (paper Sec. V-B).
 //!
-//! Run with: `cargo run --release -p gpubox-bench --example model_extraction`
+//! Run with: `cargo run --release --example model_extraction`
 
 use gpubox_attacks::side::{detect_epochs, record_memorygram, summarize_mlp_gram, RecorderConfig};
 use gpubox_bench::{setup::victim_with_duration, SideChannelSetup};

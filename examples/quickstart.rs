@@ -2,7 +2,7 @@
 //! GPU evict another GPU's cache lines — the primitive behind every
 //! attack in the paper.
 //!
-//! Run with: `cargo run --release -p gpubox-bench --example quickstart`
+//! Run with: `cargo run --release --example quickstart`
 
 use gpubox_attacks::timing_re::measure_timing;
 use gpubox_sim::{GpuId, MultiGpuSystem, ProcessCtx, SystemConfig};

@@ -6,8 +6,9 @@ use gpubox_attacks::covert::{bits_from_bytes, bytes_from_bits};
 use gpubox_attacks::{
     transmit_over, BoundaryPolicy, ChannelMedium, ChannelParams, ChannelReport, Pipeline, SetPair,
 };
-use gpubox_bench::AttackSetup;
-use gpubox_sim::{MultiGpuSystem, SchedulerKind};
+use gpubox_bench::report::fnv1a_bits;
+use gpubox_bench::{fabric_dgx1, link_params, AttackSetup, LinkEndpoints};
+use gpubox_sim::{GpuId, MultiGpuSystem, QosConfig, SchedulerKind};
 
 /// One Prime+Probe transmission of `payload` over `medium`, decoded by
 /// the channel's 2-means vote.
@@ -141,4 +142,46 @@ fn deterministic_given_seed() {
         send_setup(&mut setup, &pairs, &bits_from_bytes(b"determinism")).received
     };
     assert_eq!(run(5150), run(5150), "same seed must reproduce bit-exactly");
+}
+
+#[test]
+fn link_fixture_transmission_is_pinned() {
+    // The DGX-1 link-congestion geometry every fabric experiment stages:
+    // trojan on GPU1 and spy on GPU0, both streaming buffers homed on
+    // GPU5, sharing link (1,5). The transmission alone does not move
+    // when the lines land elsewhere, so the endpoints' process ids and
+    // physical lines are pinned too: any change to the fixture's order
+    // of process creation or allocation, which every link-channel
+    // golden depends on, shows up here.
+    let payload = bits_from_bytes(b"NVLink-1");
+    let noisy = fabric_dgx1(0x11F0, QosConfig::off());
+    for (cfg, pinned) in [
+        (noisy.clone(), (0, 0x1963_d10e_58dc_5707, 504_644)),
+        (noisy.noiseless(), (0, 0x1963_d10e_58dc_5707, 504_418)),
+    ] {
+        let mut sys = MultiGpuSystem::new(cfg);
+        let ends = LinkEndpoints::new(&mut sys, GpuId::new(1), GpuId::new(0), GpuId::new(5), 2);
+        let mut placement = Vec::new();
+        for (pid, lines) in [(ends.trojan, &ends.trojan_lines), (ends.spy, &ends.spy_lines)] {
+            for &va in lines {
+                let (_, pa) = sys.oracle_translate(pid, va).unwrap();
+                placement.extend(pid.0.to_le_bytes());
+                placement.extend(pa.0.to_le_bytes());
+            }
+        }
+        assert_eq!(fnv1a_bits(&placement), 0x1c0e_d3cb_873b_9a59, "endpoint placement moved");
+        let rep = transmit_over(
+            &mut sys,
+            &ends.medium(4),
+            &payload,
+            &link_params(),
+            &Pipeline::vote(BoundaryPolicy::Quantile),
+            SchedulerKind::Auto,
+        )
+        .expect("link transmission");
+        assert_eq!(
+            (rep.bit_errors, fnv1a_bits(&rep.received), rep.duration_cycles),
+            pinned
+        );
+    }
 }
