@@ -4,11 +4,11 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use gpubox_attacks::covert::bits_from_bytes;
 use gpubox_attacks::{
-    classify_pages, discover_conflicts, transmit_over, BoundaryPolicy, ChannelParams, Locality,
+    classify_pages, discover_conflicts, transmit, BoundaryPolicy, ChannelParams, Locality,
     Pipeline, ScanConfig, Thresholds,
 };
 use gpubox_bench::AttackSetup;
-use gpubox_sim::{GpuId, MultiGpuSystem, ProcessCtx, SchedulerKind, SystemConfig, VirtAddr};
+use gpubox_sim::{GpuId, MultiGpuSystem, ProcessCtx, SystemConfig, VirtAddr};
 
 fn bench_discovery(c: &mut Criterion) {
     c.bench_function("discover_conflicts_64_pages", |b| {
@@ -60,17 +60,7 @@ fn bench_covert(c: &mut Criterion) {
     let params = ChannelParams::default();
     let vote = Pipeline::vote(BoundaryPolicy::TwoMeans);
     c.bench_function("covert_transmit_24B_4sets", |b| {
-        b.iter(|| {
-            transmit_over(
-                &mut setup.sys,
-                &medium,
-                &payload,
-                &params,
-                &vote,
-                SchedulerKind::Auto,
-            )
-            .unwrap()
-        })
+        b.iter(|| transmit(&mut setup.sys, &medium, &payload, &params, &vote).unwrap())
     });
 }
 

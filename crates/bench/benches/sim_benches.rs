@@ -22,7 +22,9 @@
 //!   per-trial simulations (`trial_fanout_serial/parallel_8`);
 //! - the engine layer: engine-overhead microbench (256 engine-stepped
 //!   loads vs. the same loads issued raw: `engine_steps_256_loads` /
-//!   `raw_access_256_loads`) and the end-to-end covert channel
+//!   `raw_access_256_loads`), the scheduler's per-op dispatch cost with
+//!   2, 4 and 8 `Compute`-only agents (`engine_dispatch_{2,4,8}agents`,
+//!   4096 ops per iteration) and the end-to-end covert channel
 //!   (`covert_transmit_e2e`);
 //! - the fabric layer, PR 3's tentpole: before timing, a fabric-off
 //!   system must reproduce the golden pre-fabric access-path fingerprint
@@ -40,14 +42,14 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use gpubox_attacks::{
-    align_classes, classify_pages, classify_pages_fast, paired_sets, transmit_over,
+    align_classes, classify_pages, classify_pages_fast, paired_sets, transmit,
     AlignmentConfig, BoundaryPolicy, ChannelParams, ChannelReport, L2SetMedium, Locality,
     Pipeline, ScanConfig, SetPair, Thresholds, TrialRunner,
 };
 use gpubox_sim::{
     Agent, CacheConfig, Engine, FabricConfig, FleetConfig, FleetRunner, GpuId, L2Cache,
     MultiGpuSystem, Op, OpResult, Pack, PhysAddr, ProbeStage, ProcessCtx, ProcessId,
-    SchedulerKind, SystemConfig, Topology, VirtAddr,
+    SystemConfig, Topology, VirtAddr,
 };
 use gpubox_sim::cache_reference::ReferenceCache;
 use rand::SeedableRng;
@@ -361,7 +363,7 @@ fn transmit_fixture(
     };
     let params = ChannelParams::default();
     let vote = Pipeline::vote(BoundaryPolicy::TwoMeans);
-    transmit_over(sys, &medium, payload, &params, &vote, SchedulerKind::Auto).unwrap()
+    transmit(sys, &medium, payload, &params, &vote).unwrap()
 }
 
 /// The overhead guardrails' cost ratio of `on` over `off`: the median,
@@ -535,6 +537,55 @@ fn bench_engine_overhead(c: &mut Criterion) {
             acc
         })
     });
+}
+
+/// Issues `remaining` `Compute(cycles)` ops, touching no memory.
+struct FixedCompute {
+    pid: ProcessId,
+    cycles: u64,
+    remaining: usize,
+}
+
+impl Agent for FixedCompute {
+    fn next_op(&mut self, _now: u64, _stage: &mut ProbeStage) -> Op {
+        if self.remaining == 0 {
+            return Op::Done;
+        }
+        self.remaining -= 1;
+        Op::Compute(self.cycles)
+    }
+    fn on_result(&mut self, _res: &OpResult<'_>) {}
+    fn process(&self) -> ProcessId {
+        self.pid
+    }
+}
+
+/// Engine-dispatch rung: 4096 `Compute` ops split over 2, 4 or 8 agents,
+/// so the time is the scheduler's pick-and-reschedule plus the op
+/// dispatch, with no memory access. Distinct per-agent op lengths keep
+/// the minimum moving between agents. ns/op = ns/iter / 4096.
+fn bench_engine_dispatch(c: &mut Criterion) {
+    const OPS: usize = 4096;
+    let mut sys = MultiGpuSystem::new(SystemConfig::small_test().noiseless());
+    let pid = sys.create_process(GpuId::new(0));
+    for agents in [2usize, 4, 8] {
+        c.bench_function(&format!("engine_dispatch_{agents}agents"), |b| {
+            b.iter(|| {
+                let mut eng = Engine::new(&mut sys);
+                for k in 0..agents {
+                    eng.add_agent(
+                        Box::new(FixedCompute {
+                            pid,
+                            cycles: 100 + 7 * k as u64,
+                            remaining: OPS / agents,
+                        }),
+                        0,
+                    );
+                }
+                eng.run(u64::MAX).unwrap()
+            })
+        });
+    }
 }
 
 /// Golden fingerprint of the fabric-off access path, captured at the
@@ -873,6 +924,7 @@ criterion_group!(
     bench_access_path,
     bench_trial_fanout,
     bench_engine_overhead,
+    bench_engine_dispatch,
     bench_covert_e2e,
     bench_trace_overhead,
     bench_discovery_scan,

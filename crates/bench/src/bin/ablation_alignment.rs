@@ -5,9 +5,8 @@
 //! this quantifies how load-bearing the alignment protocol is.
 
 use gpubox_attacks::covert::bits_from_bytes;
-use gpubox_attacks::{transmit_over, BoundaryPolicy, ChannelParams, Pipeline, SetPair};
+use gpubox_attacks::{transmit, BoundaryPolicy, ChannelParams, Pipeline, SetPair};
 use gpubox_bench::{report, AttackSetup};
-use gpubox_sim::SchedulerKind;
 
 fn main() {
     report::header(
@@ -22,15 +21,8 @@ fn main() {
 
     // Aligned: the real protocol output.
     let medium = setup.medium(&pairs[..2]);
-    let aligned = transmit_over(
-        &mut setup.sys,
-        &medium,
-        &payload,
-        &params,
-        &vote,
-        SchedulerKind::Auto,
-    )
-    .expect("aligned transmission");
+    let aligned =
+        transmit(&mut setup.sys, &medium, &payload, &params, &vote).expect("aligned transmission");
 
     // Misaligned: pair each trojan set with a spy set of a *different*
     // physical set (offset shifted by one within the page class).
@@ -45,15 +37,8 @@ fn main() {
         },
     ];
     let medium = setup.medium(&misaligned_pairs);
-    let misaligned = transmit_over(
-        &mut setup.sys,
-        &medium,
-        &payload,
-        &params,
-        &vote,
-        SchedulerKind::Auto,
-    )
-    .expect("misaligned transmission");
+    let misaligned = transmit(&mut setup.sys, &medium, &payload, &params, &vote)
+        .expect("misaligned transmission");
 
     let rows = vec![
         (

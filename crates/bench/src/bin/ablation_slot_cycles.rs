@@ -6,9 +6,8 @@
 //! majority voting; long slots are robust but slow.
 
 use gpubox_attacks::covert::bits_from_bytes;
-use gpubox_attacks::{transmit_over, BoundaryPolicy, ChannelParams, Pipeline};
+use gpubox_attacks::{transmit, BoundaryPolicy, ChannelParams, Pipeline};
 use gpubox_bench::{report, AttackSetup};
-use gpubox_sim::SchedulerKind;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -31,15 +30,8 @@ fn main() {
             slot_cycles: slot,
             ..Default::default()
         };
-        let rep = transmit_over(
-            &mut setup.sys,
-            &medium,
-            &payload,
-            &params,
-            &vote,
-            SchedulerKind::Auto,
-        )
-        .expect("transmission");
+        let rep =
+            transmit(&mut setup.sys, &medium, &payload, &params, &vote).expect("transmission");
         rows.push((
             slot,
             format!("{:.1} KB/s", rep.bandwidth_bytes_per_sec / 1e3),

@@ -44,10 +44,8 @@
 //!   `--threads=4` invocations (diffed in CI, like
 //!   `ext_fleet_placement`).
 //!
-//! Every scenario runs once, on the default engine. Scheduler and
-//! fan-out invariance are proven where they live: `gpubox-sim`'s
-//! `scheduler_equivalence` tests and the runner's
-//! `parallel_matches_serial_bitwise`.
+//! Every scenario runs once. Fan-out invariance is proven where it
+//! lives: the runner's `parallel_matches_serial_bitwise`.
 //!
 //! Usage: `ext_detection [--threads=N] [--seed=S]`
 

@@ -6,7 +6,7 @@
 //! down even at aggressive set counts.
 //!
 //! Since PR 4 the coding layer is a first-class [`Coding`] stage of the
-//! channel [`Pipeline`]: the same `transmit_over` call runs raw or coded
+//! channel [`Pipeline`]: the same `transmit` call runs raw or coded
 //! on any medium, and the report's `ecc_corrections` counts the repairs.
 //!
 //! PR 5 adds the **soft-decision** stage: [`Coding::Hamming74Soft`]
@@ -19,10 +19,9 @@
 use gpubox_attacks::covert::bits_from_bytes;
 use gpubox_attacks::covert::ecc::ECC_RATE;
 use gpubox_attacks::{
-    redecode_traces, transmit_over, BoundaryPolicy, ChannelParams, Coding, Pipeline,
+    redecode_traces, transmit, BoundaryPolicy, ChannelParams, Coding, Pipeline,
 };
 use gpubox_bench::{report, AttackSetup};
-use gpubox_sim::SchedulerKind;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -43,13 +42,12 @@ fn main() {
         // Raw transmission (the channel's 2-means vote, no coding).
         let medium = setup.medium(&pairs[..k]);
         let vote = Pipeline::vote(BoundaryPolicy::TwoMeans);
-        let raw = transmit_over(
+        let raw = transmit(
             &mut setup.sys,
             &medium,
             &data_bits,
             &params,
             &vote,
-            SchedulerKind::Auto,
         )
         .expect("raw transmission");
 
@@ -57,13 +55,12 @@ fn main() {
         // depth-64 block interleaver, so congestion bursts spread over
         // many codewords before single-error correction runs.
         let pipeline = vote.with_coding(Coding::Hamming74 { interleave_depth: 64 });
-        let coded = transmit_over(
+        let coded = transmit(
             &mut setup.sys,
             &medium,
             &data_bits,
             &params,
             &pipeline,
-            SchedulerKind::Auto,
         )
         .expect("coded transmission");
 
@@ -73,13 +70,12 @@ fn main() {
         // soft-vs-hard comparison is apples to apples.
         let soft_pipeline = Pipeline::matched_filter(BoundaryPolicy::TwoMeans)
             .with_coding(Coding::Hamming74Soft { interleave_depth: 64 });
-        let soft = transmit_over(
+        let soft = transmit(
             &mut setup.sys,
             &medium,
             &data_bits,
             &params,
             &soft_pipeline,
-            SchedulerKind::Auto,
         )
         .expect("soft-coded transmission");
         let hard_errors = {

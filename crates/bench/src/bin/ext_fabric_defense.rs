@@ -30,10 +30,9 @@
 //!   streaming over NVLink), measuring the defence's throughput cost as
 //!   the drop in accesses completed within a fixed simulated window.
 //!
-//! Each sweep runs once, on the default engine, through one parallel
-//! [`TrialRunner`] fan-out. Scheduler and fan-out invariance are proven
-//! where they live: `gpubox-sim`'s `scheduler_equivalence` tests and
-//! the runner's `parallel_matches_serial_bitwise`.
+//! Each sweep runs once, through one parallel [`TrialRunner`] fan-out.
+//! Fan-out invariance is proven where it lives: the runner's
+//! `parallel_matches_serial_bitwise`.
 //!
 //! CI gates:
 //! - the undefended baseline decodes at ≤ 5% BER (both decoders);
@@ -48,13 +47,13 @@
 //! `--payload-bits=48`).
 
 use gpubox_attacks::{
-    redecode_traces, transmit_over, BoundaryPolicy, ChannelParams, OfflineCache, Pipeline,
+    redecode_traces, transmit, BoundaryPolicy, ChannelParams, OfflineCache, Pipeline,
     TrialRunner,
 };
 use gpubox_bench::{
     fabric_dgx1, link_params, report, seeded_payload, AttackSetup, BenignMix, LinkEndpoints,
 };
-use gpubox_sim::{Engine, GpuId, MultiGpuSystem, QosConfig, SchedulerKind};
+use gpubox_sim::{Engine, GpuId, MultiGpuSystem, QosConfig};
 
 /// One defence configuration on the sweep.
 #[derive(Debug, Clone, Copy)]
@@ -129,13 +128,12 @@ fn run_link(qos: QosConfig, payload: &[u8], seed: u64) -> LinkOutcome {
     let mut sys = MultiGpuSystem::new(fabric_dgx1(seed, qos).noiseless());
     let ends = LinkEndpoints::new(&mut sys, GpuId::new(1), GpuId::new(0), GpuId::new(5), 2);
     let params = link_params();
-    let rep = transmit_over(
+    let rep = transmit(
         &mut sys,
         &ends.medium(4),
         payload,
         &params,
         &Pipeline::vote(BoundaryPolicy::Quantile),
-        SchedulerKind::Auto,
     )
     .expect("link transmission");
     let (mf_received, _) = redecode_traces(
@@ -160,13 +158,12 @@ fn run_l2(qos: QosConfig, payload: &[u8], seed: u64) -> Result<(usize, usize), S
         let mut setup = AttackSetup::prepare_fabric_qos(seed, GpuId::new(0), GpuId::new(5), qos);
         let pairs = setup.aligned_pairs(4);
         let medium = setup.medium(&pairs);
-        let rep = transmit_over(
+        let rep = transmit(
             &mut setup.sys,
             &medium,
             payload,
             &params,
             &Pipeline::vote(BoundaryPolicy::TwoMeans),
-            SchedulerKind::Auto,
         )
         .expect("L2 transmission");
         let (mf_received, _) = redecode_traces(
@@ -282,13 +279,12 @@ fn main() {
             let cached = setup.offline_cached;
             let pairs = setup.aligned_pairs(4);
             let medium = setup.medium(&pairs);
-            let rep = transmit_over(
+            let rep = transmit(
                 &mut setup.sys,
                 &medium,
                 &payload,
                 &params,
                 &Pipeline::vote(BoundaryPolicy::TwoMeans),
-                SchedulerKind::Auto,
             )
             .expect("L2 baseline transmission");
             (cached, rep.received, rep.bit_errors, rep.duration_cycles)

@@ -19,7 +19,7 @@
 //!   and the **L2 Prime+Probe channel** on the fabric-enabled DGX-1
 //!   (trojan GPU0, spy GPU5, offline phase under the fabric), where
 //!   downing link (1,5) reroutes the spy's remote probes mid-stream;
-//! - pipelines: **naive** = the plain `transmit_over` with the
+//! - pipelines: **naive** = the plain `transmit` with the
 //!   per-sample vote and one self-calibrated boundary over the whole
 //!   trace, **hardened** = [`transmit_resilient`]: matched filter +
 //!   Hamming(7,4) + sequence-numbered CRC frames + fenced-boundary
@@ -34,10 +34,9 @@
 //! re-sends them with a growing whole-slot backoff that shifts the
 //! retry stream off the recurring fault window.
 //!
-//! Each family's sweep runs once, on the default engine, through one
-//! parallel [`TrialRunner`] fan-out. Scheduler and fan-out invariance
-//! are proven where they live: `gpubox-sim`'s `scheduler_equivalence`
-//! tests and the runner's `parallel_matches_serial_bitwise`.
+//! Each family's sweep runs once, through one parallel [`TrialRunner`]
+//! fan-out. Fan-out invariance is proven where it lives: the runner's
+//! `parallel_matches_serial_bitwise`.
 //!
 //! CI gates:
 //! - healthy baseline: both pipelines ≤ 5% BER on both families;
@@ -52,13 +51,11 @@
 //! (defaults: 64 bits, seed 0xFA17).
 
 use gpubox_attacks::{
-    transmit_over, transmit_resilient, BoundaryPolicy, ChannelParams, Coding, Pipeline,
-    RetryConfig, TrialRunner,
+    transmit, transmit_resilient, BoundaryPolicy, ChannelParams, Coding, Pipeline, RetryConfig,
+    TrialRunner,
 };
-use gpubox_bench::{report, seeded_payload, AttackSetup, LinkEndpoints};
-use gpubox_sim::{
-    FabricConfig, FaultPlan, GpuId, MultiGpuSystem, SchedulerKind, SystemConfig, Topology,
-};
+use gpubox_bench::{report, seeded_payload, single_link_channel, AttackSetup};
+use gpubox_sim::{FaultPlan, GpuId, Topology};
 
 /// One fault intensity on the sweep. Windows are in slots so both
 /// families place the fault mid-transmission regardless of their
@@ -180,43 +177,29 @@ struct Outcome {
     transient_stalls: u64,
 }
 
-fn link_params() -> ChannelParams {
-    ChannelParams {
-        spy_gap: 600,
-        ..Default::default()
-    }
-}
-
 /// Runs one link-family sweep point: naive and hardened back to back
 /// on fresh single-link fabrics (2 GPUs, both attacker processes on
 /// GPU1, buffers homed on GPU0 — every transfer crosses NVLink link 0,
 /// and downing it forces the PCIe root-complex fallback).
 fn run_link(case: &FaultCase, payload: &[u8], seed: u64) -> Outcome {
-    let params = link_params();
     let build = || {
-        let cfg = SystemConfig::small_test()
-            .noiseless()
-            .with_seed(seed)
-            .with_fabric(FabricConfig::nvlink_v1());
-        let mut sys = MultiGpuSystem::new(cfg);
-        let ends = LinkEndpoints::new(&mut sys, GpuId::new(1), GpuId::new(1), GpuId::new(0), 8);
+        let (mut sys, ends, params) = single_link_channel(seed);
         sys.set_fault_plan(case.plan(0, params.slot_cycles, seed))
             .unwrap();
-        (sys, ends)
+        (sys, ends, params)
     };
 
-    let (mut sys, ends) = build();
-    let naive = transmit_over(
+    let (mut sys, ends, params) = build();
+    let naive = transmit(
         &mut sys,
         &ends.medium(2),
         payload,
         &params,
         &Pipeline::vote(BoundaryPolicy::Quantile),
-        SchedulerKind::Auto,
     )
     .expect("naive link transmission");
 
-    let (mut sys, ends) = build();
+    let (mut sys, ends, params) = build();
     let hardened = transmit_resilient(
         &mut sys,
         &ends.medium(2),
@@ -224,7 +207,6 @@ fn run_link(case: &FaultCase, payload: &[u8], seed: u64) -> Outcome {
         &params,
         &hardened_pipeline(BoundaryPolicy::Quantile),
         &retry_config(),
-        SchedulerKind::Auto,
     )
     .expect("hardened link transmission");
     let f = *sys.stats().fault();
@@ -264,13 +246,12 @@ fn run_l2(case: &FaultCase, payload: &[u8], seed: u64) -> Outcome {
             .unwrap();
         let medium = setup.medium(&pairs);
         if naive {
-            let rep = transmit_over(
+            let rep = transmit(
                 &mut setup.sys,
                 &medium,
                 payload,
                 &params,
                 &Pipeline::vote(BoundaryPolicy::TwoMeans),
-                SchedulerKind::Auto,
             )
             .expect("naive L2 transmission");
             (rep.bit_errors, None, *setup.sys.stats().fault())
@@ -282,7 +263,6 @@ fn run_l2(case: &FaultCase, payload: &[u8], seed: u64) -> Outcome {
                 &params,
                 &hardened_pipeline(BoundaryPolicy::TwoMeans),
                 &retry_config(),
-                SchedulerKind::Auto,
             )
             .expect("hardened L2 transmission");
             let f = *setup.sys.stats().fault();

@@ -17,25 +17,24 @@
 //!   cross the same shared link, plus full timing noise (jitter, port
 //!   contention, congestion episodes).
 //!
-//! The sweep runs once, on the default engine, through one parallel
-//! [`TrialRunner`] fan-out. Scheduler and fan-out invariance are proven
-//! where they live: `gpubox-sim`'s `scheduler_equivalence` tests and the
-//! runner's `parallel_matches_serial_bitwise`.
+//! The sweep runs once, through one parallel [`TrialRunner`] fan-out.
+//! Fan-out invariance is proven where it lives: the runner's
+//! `parallel_matches_serial_bitwise`.
 //! The 2-hop noiseless point is the acceptance gate: its seeded payload
 //! must decode with ≤ 5% bit error, and it must match what the
-//! library-level [`gpubox_attacks::transmit_over`] produces.
+//! library-level [`gpubox_attacks::transmit`] produces.
 //!
 //! Usage: `ext_link_congestion_channel [--payload-bits=N] [--seed=S]`
 //! (defaults: 64 bits, seed 0x11F0; CI passes `--payload-bits=32`).
 
 use gpubox_attacks::{
-    redecode_traces, transmit_over, BoundaryPolicy, LinkChannel, LinkCongestionMedium, Pipeline,
+    redecode_traces, transmit, BoundaryPolicy, LinkChannel, LinkCongestionMedium, Pipeline,
     TrialRunner, Transmission,
 };
 use gpubox_bench::{fabric_dgx1, link_params, report, seeded_payload, LinkEndpoints};
 use gpubox_sim::{
     Engine, FabricConfig, GpuId, MultiGpuSystem, NoiseAgent, NoiseConfig, ProcessId, QosConfig,
-    SchedulerKind, SystemConfig, VirtAddr,
+    SystemConfig, VirtAddr,
 };
 
 /// One sweep configuration.
@@ -282,7 +281,7 @@ fn main() {
 
     // Acceptance gate: the 2-hop noiseless saturated point decodes the
     // seeded payload with <= 5% bit error, and the one-call library
-    // entry point (transmit_over) produces the identical bit stream.
+    // entry point (transmit) produces the identical bit stream.
     let gate = points
         .iter()
         .position(|p| {
@@ -298,18 +297,17 @@ fn main() {
     {
         let mut sys = MultiGpuSystem::new(fabric_dgx1(seed, QosConfig::off()).noiseless());
         let ends = LinkEndpoints::new(&mut sys, GpuId::new(1), GpuId::new(0), GpuId::new(5), 2);
-        let rep = transmit_over(
+        let rep = transmit(
             &mut sys,
             &ends.medium(4),
             &payload,
             &link_params(),
             &Pipeline::vote(BoundaryPolicy::Quantile),
-            SchedulerKind::Auto,
         )
         .expect("library transmission");
         assert_eq!(
             rep.received, outcomes[gate].received,
-            "transmit_over must reproduce the sweep's gate point"
+            "transmit must reproduce the sweep's gate point"
         );
     }
 

@@ -7,9 +7,8 @@
 //! processes remain attackable.
 
 use gpubox_attacks::covert::bits_from_bytes;
-use gpubox_attacks::{transmit_over, BoundaryPolicy, ChannelParams, Pipeline};
+use gpubox_attacks::{transmit, BoundaryPolicy, ChannelParams, Pipeline};
 use gpubox_bench::{report, AttackSetup};
-use gpubox_sim::SchedulerKind;
 
 fn run(partitions: Option<(u32, u32)>) -> f64 {
     let mut setup = AttackSetup::prepare(808);
@@ -24,13 +23,12 @@ fn run(partitions: Option<(u32, u32)>) -> f64 {
     }
     let payload = bits_from_bytes(b"partitioning defence check 0123456789abcdef");
     let medium = setup.medium(&pairs);
-    let rep = transmit_over(
+    let rep = transmit(
         &mut setup.sys,
         &medium,
         &payload,
         &ChannelParams::default(),
         &Pipeline::vote(BoundaryPolicy::TwoMeans),
-        SchedulerKind::Auto,
     )
     .expect("transmission");
     rep.error_rate

@@ -35,11 +35,11 @@
 
 use gpubox_attacks::covert::bits_from_bytes;
 use gpubox_attacks::{
-    extract_anatomy, transmit_resilient, BoundaryPolicy, ChannelParams, Pipeline, RetryConfig,
+    extract_anatomy, transmit_resilient, BoundaryPolicy, Pipeline, RetryConfig,
 };
-use gpubox_bench::{report, LinkEndpoints};
+use gpubox_bench::{report, single_link_channel};
 use gpubox_sim::telemetry::{chrome_trace_json, human_timeline, validate_json, TraceKind};
-use gpubox_sim::{FabricConfig, FaultPlan, GpuId, MultiGpuSystem, SchedulerKind, SystemConfig};
+use gpubox_sim::FaultPlan;
 
 fn main() {
     report::header(
@@ -47,15 +47,8 @@ fn main() {
         "extension beyond the paper (observability; scenario of ISSUE 6's fault gate)",
     );
 
-    let params = ChannelParams {
-        spy_gap: 600,
-        ..Default::default()
-    };
-    let cfg = SystemConfig::small_test()
-        .noiseless()
-        .with_fabric(FabricConfig::nvlink_v1());
-    let mut sys = MultiGpuSystem::new(cfg);
-    let ends = LinkEndpoints::new(&mut sys, GpuId::new(1), GpuId::new(1), GpuId::new(0), 8);
+    // 42 is `SystemConfig::small_test`'s default seed.
+    let (mut sys, ends, params) = single_link_channel(42);
 
     // Tracing on BEFORE the fault plan is installed, so the plan's
     // epoch records land in the ring next to the stalls observed later.
@@ -82,7 +75,6 @@ fn main() {
             max_retries: 4,
             ..Default::default()
         },
-        SchedulerKind::Auto,
     )
     .unwrap();
 

@@ -23,10 +23,9 @@
 //! receive stack running on both media is precisely what the unified
 //! pipeline buys.
 //!
-//! Both families run once, on the default engine, through one parallel
-//! [`TrialRunner`] fan-out. Scheduler and fan-out invariance are proven
-//! where they live: `gpubox-sim`'s `scheduler_equivalence` tests and the
-//! runner's `parallel_matches_serial_bitwise`.
+//! Both families run once, through one parallel [`TrialRunner`]
+//! fan-out. Fan-out invariance is proven where it lives: the runner's
+//! `parallel_matches_serial_bitwise`.
 //!
 //! Gate (CI): both families decode the seeded payload at ≤ 5% BER with
 //! their default (vote) decoder.
@@ -35,10 +34,10 @@
 //! (defaults: 256 bits, seed 2525; CI passes `--payload-bits=128`).
 
 use gpubox_attacks::{
-    redecode_traces, transmit_over, BoundaryPolicy, ChannelParams, Pipeline, TrialRunner,
+    redecode_traces, transmit, BoundaryPolicy, ChannelParams, Pipeline, TrialRunner,
 };
 use gpubox_bench::{fabric_dgx1, link_params, report, seeded_payload, AttackSetup, LinkEndpoints};
-use gpubox_sim::{GpuId, MultiGpuSystem, QosConfig, SchedulerKind};
+use gpubox_sim::{GpuId, MultiGpuSystem, QosConfig};
 
 /// One channel family on the shared configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,20 +101,20 @@ fn run_family(family: Family, payload: &[u8], seed: u64) -> Outcome {
             let mut setup = AttackSetup::prepare_fabric(seed, GpuId::new(0), GpuId::new(5));
             let pairs = setup.aligned_pairs(4);
             let medium = setup.medium(&pairs);
-            transmit_over(&mut setup.sys, &medium, payload, &params, &pipeline, SchedulerKind::Auto)
+            transmit(&mut setup.sys, &medium, payload, &params, &pipeline)
                 .expect("L2 transmission")
         }
         Family::LinkCongestion => {
             let mut sys = MultiGpuSystem::new(fabric_dgx1(seed, QosConfig::off()));
             let ends = LinkEndpoints::new(&mut sys, GpuId::new(1), GpuId::new(0), GpuId::new(5), 2);
-            transmit_over(&mut sys, &ends.medium(4), payload, &params, &pipeline, SchedulerKind::Auto)
+            transmit(&mut sys, &ends.medium(4), payload, &params, &pipeline)
                 .expect("link transmission")
         }
     };
 
     // Matched-filter re-decode of the same per-lane traces (same
     // `params`, so slot timing always matches the transmission), on the
-    // one shared receive path `transmit_over` itself decodes through.
+    // one shared receive path `transmit` itself decodes through.
     let (mf_received, _) =
         redecode_traces(&rep.traces, &params, &Pipeline::matched_filter(policy), payload.len());
     let mf_errors = mf_received.iter().zip(payload).filter(|(a, b)| a != b).count();

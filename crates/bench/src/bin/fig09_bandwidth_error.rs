@@ -14,9 +14,8 @@
 //! fingerprints.
 
 use gpubox_attacks::covert::bits_from_bytes;
-use gpubox_attacks::{transmit_over, BoundaryPolicy, ChannelParams, Pipeline, TrialRunner};
+use gpubox_attacks::{transmit, BoundaryPolicy, ChannelParams, Pipeline, TrialRunner};
 use gpubox_bench::{report, AttackSetup};
-use gpubox_sim::SchedulerKind;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
@@ -70,15 +69,8 @@ fn main() {
             let mut setup = AttackSetup::prepare(trial.seed);
             let pairs = setup.aligned_pairs(k);
             let medium = setup.medium(&pairs[..k]);
-            let rep = transmit_over(
-                &mut setup.sys,
-                &medium,
-                &payload,
-                &params,
-                &vote,
-                SchedulerKind::Auto,
-            )
-            .expect("transmission");
+            let rep =
+                transmit(&mut setup.sys, &medium, &payload, &params, &vote).expect("transmission");
             (
                 Point {
                     sets: k,

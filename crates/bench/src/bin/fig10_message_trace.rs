@@ -6,9 +6,8 @@
 //! miss).
 
 use gpubox_attacks::covert::{bits_from_bytes, bytes_from_bits};
-use gpubox_attacks::{transmit_over, BoundaryPolicy, ChannelParams, Pipeline};
+use gpubox_attacks::{transmit, BoundaryPolicy, ChannelParams, Pipeline};
 use gpubox_bench::{report, AttackSetup};
-use gpubox_sim::SchedulerKind;
 
 /// Golden `(bit_errors, fnv1a(received), duration_cycles)`. Any drift is
 /// a regression. The decoded bits and their fingerprint have not changed
@@ -26,13 +25,12 @@ fn main() {
     let mut setup = AttackSetup::prepare(1010);
     let pairs = setup.aligned_pairs(1);
     let medium = setup.medium(&pairs);
-    let rep = transmit_over(
+    let rep = transmit(
         &mut setup.sys,
         &medium,
         &bits_from_bytes(message),
         &ChannelParams::default(),
         &Pipeline::vote(BoundaryPolicy::TwoMeans),
-        SchedulerKind::Auto,
     )
     .expect("transmission");
 

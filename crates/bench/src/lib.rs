@@ -16,6 +16,6 @@ pub mod report;
 pub mod setup;
 
 pub use setup::{
-    fabric_dgx1, link_params, seeded_payload, AttackSetup, BenignMix, LinkEndpoints,
-    SideChannelSetup, ATTACK_BUFFER_BYTES,
+    fabric_dgx1, link_params, seeded_payload, single_link_channel, AttackSetup, BenignMix,
+    LinkEndpoints, SideChannelSetup, ATTACK_BUFFER_BYTES,
 };

@@ -7,6 +7,8 @@
 //!   fabric, indirect peer routing) with a QoS configuration layered on;
 //! - [`LinkEndpoints`] and [`link_params`]: the trojan/spy pair of the
 //!   NVLink link-congestion channel and its DGX-1 channel parameters;
+//! - [`single_link_channel`]: the noiseless one-link box the fault
+//!   experiments run the link-congestion channel on;
 //! - [`BenignMix`]: the 8-tenant fabric-crossing benign mix the
 //!   monitors and defences are measured against;
 //! - [`seeded_payload`]: the seeded pseudorandom payload every sweep
@@ -410,6 +412,26 @@ impl LinkEndpoints {
             },
         }
     }
+}
+
+/// The link-congestion channel on a noiseless two-GPU box with the timed
+/// fabric ([`FabricConfig::nvlink_v1`]) and seed `seed`: both endpoints
+/// on GPU1 with buffers homed on GPU0 (8 spy pages), so every transfer
+/// crosses the box's only NVLink link and downing it forces the PCIe
+/// fallback. Returned with its channel parameters: the default slot with
+/// a 600-cycle gap between spy transfers.
+pub fn single_link_channel(seed: u64) -> (MultiGpuSystem, LinkEndpoints, ChannelParams) {
+    let cfg = SystemConfig::small_test()
+        .noiseless()
+        .with_seed(seed)
+        .with_fabric(FabricConfig::nvlink_v1());
+    let mut sys = MultiGpuSystem::new(cfg);
+    let ends = LinkEndpoints::new(&mut sys, GpuId::new(1), GpuId::new(1), GpuId::new(0), 8);
+    let params = ChannelParams {
+        spy_gap: 600,
+        ..Default::default()
+    };
+    (sys, ends, params)
 }
 
 /// The benign multi-tenant mix the fabric monitors and defences are

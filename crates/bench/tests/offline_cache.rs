@@ -4,21 +4,20 @@
 //! pairs, same channel bits, same cycle counts.
 
 use gpubox_attacks::covert::bits_from_bytes;
-use gpubox_attacks::{transmit_over, BoundaryPolicy, ChannelParams, OfflineCache, Pipeline};
+use gpubox_attacks::{transmit, BoundaryPolicy, ChannelParams, OfflineCache, Pipeline};
 use gpubox_bench::AttackSetup;
-use gpubox_sim::{GpuId, SchedulerKind, SystemConfig};
+use gpubox_sim::{GpuId, SystemConfig};
 
 fn channel_run(setup: &mut AttackSetup) -> (Vec<u8>, usize, u64) {
     let pairs = setup.aligned_pairs(4);
     let payload = bits_from_bytes(b"cache transparency probe");
     let medium = setup.medium(&pairs);
-    let rep = transmit_over(
+    let rep = transmit(
         &mut setup.sys,
         &medium,
         &payload,
         &ChannelParams::default(),
         &Pipeline::vote(BoundaryPolicy::TwoMeans),
-        SchedulerKind::Auto,
     )
     .unwrap();
     (rep.received, rep.bit_errors, rep.duration_cycles)

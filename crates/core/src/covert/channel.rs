@@ -1,7 +1,7 @@
 //! The covert channels' shared vocabulary: the [`SetPair`] an
 //! [`super::L2SetMedium`] lane primes and probes, the [`LinkChannel`]
 //! physical layer of a [`super::LinkCongestionMedium`], and the
-//! [`ChannelReport`] every transmission ([`super::transmit_over`],
+//! [`ChannelReport`] every transmission ([`super::transmit`],
 //! [`super::Transmission::report`]) produces (Fig. 9 / Fig. 10).
 
 use super::protocol::ProbeSample;

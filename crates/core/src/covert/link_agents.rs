@@ -18,7 +18,7 @@
 //!
 //! Framing, slot pacing and decoding are shared with the Prime+Probe
 //! channel through the unified pipeline
-//! ([`crate::covert::transmit_over`]): the same alternating preamble
+//! ([`crate::covert::transmit`]): the same alternating preamble
 //! locks the slot phase, and this medium's default decoder anchors its
 //! decision boundary on robust quantiles
 //! ([`crate::covert::BoundaryPolicy::Quantile`]) because the congested

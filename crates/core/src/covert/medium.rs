@@ -2,7 +2,7 @@
 //! *what contends* (shared L2 sets, or a shared NVLink link), while a
 //! [`Transmission`] owns everything transport-independent — framing,
 //! striping across lanes, agent scheduling, the listen horizon and the
-//! report. [`transmit_over`] is the one-call form: stage, run, report.
+//! report. [`transmit`] is the one-call form: stage, run, report.
 //!
 //! Two media implement the paper's two channel families:
 //!
@@ -17,7 +17,7 @@
 //! Callers that need more than one transmission in an engine, extra
 //! agents around it, or their own run loop (a monitor observing every
 //! window) stage a [`Transmission`] on an engine they own; the agents,
-//! horizons and decoding stay exactly those of [`transmit_over`].
+//! horizons and decoding stay exactly those of [`transmit`].
 
 use super::agents::{SpyProbeAgent, SpyTrace, TrojanAgent};
 use super::channel::{ChannelReport, LinkChannel, SetPair};
@@ -222,7 +222,7 @@ pub(super) fn listen_horizon(stripes: &[Vec<u8>], params: &ChannelParams) -> u64
 /// 4. [`Transmission::report`] decodes the recorded traces with the
 ///    pipeline into a [`ChannelReport`].
 ///
-/// [`transmit_over`] is exactly these four steps at `defer == 0`.
+/// [`transmit`] is exactly these four steps at `defer == 0`.
 pub struct Transmission<'a> {
     medium: &'a dyn ChannelMedium,
     payload: &'a [u8],
@@ -352,8 +352,7 @@ impl<'a> Transmission<'a> {
 
 /// Transmits `payload` bits over `medium` and decodes them with
 /// `pipeline` — the one-call form of [`Transmission`]: prepare, build
-/// an engine under `sched`, install at defer 0, run to the grace end,
-/// report.
+/// an engine, install at defer 0, run to the grace end, report.
 ///
 /// The report's `bandwidth_bytes_per_sec` is measured over the spy's
 /// **listen span** (the true transmission window) for every medium; see
@@ -366,27 +365,45 @@ impl<'a> Transmission<'a> {
 /// # Panics
 ///
 /// Panics if the medium reports zero lanes.
-pub fn transmit_over(
+pub fn transmit(
     sys: &mut MultiGpuSystem,
     medium: &dyn ChannelMedium,
     payload: &[u8],
     params: &ChannelParams,
     pipeline: &Pipeline,
-    sched: SchedulerKind,
 ) -> SimResult<ChannelReport> {
     let mut tx = Transmission::prepare(sys, medium, payload, params, pipeline)?;
-    let mut eng = Engine::with_scheduler(sys, sched);
+    let mut eng = Engine::new(sys);
     tx.install(&mut eng, 0);
     let end = eng.run(tx.grace_end())?;
     drop(eng);
     Ok(tx.report(sys, end))
 }
 
+/// [`transmit`] with an ignored scheduler argument. Kept only because
+/// perfbench still calls it; it is deleted once perfbench moves to
+/// [`transmit`] (ROADMAP item 3).
+///
+/// # Errors
+///
+/// As [`transmit`].
+#[doc(hidden)]
+pub fn transmit_over(
+    sys: &mut MultiGpuSystem,
+    medium: &dyn ChannelMedium,
+    payload: &[u8],
+    params: &ChannelParams,
+    pipeline: &Pipeline,
+    _sched: SchedulerKind,
+) -> SimResult<ChannelReport> {
+    transmit(sys, medium, payload, params, pipeline)
+}
+
 /// Runs the complete receive path — per-lane slot decoding, round-robin
 /// reassembly, coding inversion — over already-recorded per-lane traces
 /// (e.g. [`ChannelReport::traces`]): the way to compare decoder/coding
 /// stacks on the *same* transmission without re-running it. This is the
-/// one implementation of the receive path; [`transmit_over`] itself
+/// one implementation of the receive path; [`transmit`] itself
 /// decodes through it, so an offline re-decode can never drift from the
 /// live pipeline. Returns the received payload bits and the number of
 /// codeword corrections the coding stage applied.
@@ -501,7 +518,7 @@ mod tests {
     ) -> ChannelReport {
         let (params, pipeline) = (ChannelParams::default(), Pipeline::vote(BoundaryPolicy::TwoMeans));
         let medium = l2_medium(trojan, spy, pairs);
-        transmit_over(sys, &medium, payload, &params, &pipeline, SchedulerKind::Auto).unwrap()
+        transmit(sys, &medium, payload, &params, &pipeline).unwrap()
     }
 
     #[test]
@@ -588,13 +605,12 @@ mod tests {
         let medium = l2_medium(trojan, spy, &pairs[..4]);
         let pipeline = Pipeline::matched_filter(BoundaryPolicy::TwoMeans)
             .with_coding(Coding::Hamming74 { interleave_depth: 8 });
-        let report = transmit_over(
+        let report = transmit(
             &mut sys,
             &medium,
             &payload,
             &ChannelParams::default(),
             &pipeline,
-            SchedulerKind::Auto,
         )
         .unwrap();
         assert_eq!(report.bit_errors, 0, "received {:?}", report.received);
@@ -628,7 +644,7 @@ mod tests {
 
     /// The congestion channel's receive stack (quantile-anchored vote)
     /// over `streams` trojan streams on the link fixture.
-    fn send_link(payload: &[u8], streams: usize, sched: SchedulerKind) -> ChannelReport {
+    fn send_link(payload: &[u8], streams: usize) -> ChannelReport {
         let (mut sys, trojan, spy, tl, sl) = link_fixture();
         let medium = LinkCongestionMedium {
             trojan,
@@ -640,13 +656,13 @@ mod tests {
             },
         };
         let pipeline = Pipeline::vote(BoundaryPolicy::Quantile);
-        transmit_over(&mut sys, &medium, payload, &link_params(), &pipeline, sched).unwrap()
+        transmit(&mut sys, &medium, payload, &link_params(), &pipeline).unwrap()
     }
 
     #[test]
     fn link_channel_decodes_noiseless() {
         let payload = bits_from_bytes(b"no shared set");
-        let report = send_link(&payload, 2, SchedulerKind::Auto);
+        let report = send_link(&payload, 2);
         assert_eq!(report.bit_errors, 0, "received {:?}", report.received);
         assert!(report.bandwidth_bytes_per_sec > 0.0);
         // The spy never observed cache state: every sample reports zero
@@ -670,13 +686,12 @@ mod tests {
                 trojan_streams: 3,
             },
         };
-        let report = transmit_over(
+        let report = transmit(
             &mut sys,
             &medium,
             &payload,
             &params,
             &Pipeline::matched_filter(BoundaryPolicy::Quantile),
-            SchedulerKind::Auto,
         )
         .unwrap();
         assert_eq!(report.bit_errors, 0, "received {:?}", report.received);
@@ -698,29 +713,22 @@ mod tests {
                 trojan_streams: 1,
             },
         };
-        let err = transmit_over(
+        let err = transmit(
             &mut sys,
             &medium,
             &[1, 0, 1],
             &link_params(),
             &Pipeline::vote(BoundaryPolicy::Quantile),
-            SchedulerKind::Auto,
         )
         .unwrap_err();
         assert_eq!(err, SimError::FabricDisabled);
     }
 
     #[test]
-    fn link_channel_is_scheduler_invariant() {
+    fn link_channel_decodes_three_trojan_streams() {
         let payload = bits_from_bytes(b"sched");
-        let runs: Vec<_> = [SchedulerKind::Linear, SchedulerKind::Heap]
-            .into_iter()
-            .map(|sched| {
-                let report = send_link(&payload, 3, sched);
-                (report.received, report.duration_cycles, report.traces)
-            })
-            .collect();
-        assert_eq!(runs[0], runs[1], "heap and linear channels must be bit-identical");
+        let report = send_link(&payload, 3);
+        assert_eq!(report.received, payload);
     }
 
     #[test]

@@ -38,10 +38,10 @@
 //!   lane per pair, Sec. IV-B), [`LinkCongestionMedium`] saturates a
 //!   shared NVLink link and reads its own transfer latency (Sec. V, no
 //!   shared cache state).
-//! - **Transmission** ([`Transmission`], [`transmit_over`]): the one
+//! - **Transmission** ([`Transmission`], [`transmit`]): the one
 //!   transmit path, and everything transport-independent — framing,
 //!   striping, the listen horizon, agent launch order and reporting.
-//!   [`transmit_over`] stages a transmission on its own engine and
+//!   [`transmit`] stages a transmission on its own engine and
 //!   runs it; a caller that adds agents of its own (background
 //!   tenants, benign mixes), runs several transmissions in one engine,
 //!   drives the run itself (a monitor observing every window) or
@@ -77,7 +77,7 @@ pub use agents::{SpyProbeAgent, SpyTrace, TrojanAgent};
 pub use channel::{ChannelReport, LinkChannel, SetPair};
 pub use link_agents::{LinkSpyAgent, LinkTrojanAgent, SPY_DITHER_SPAN};
 pub use medium::{
-    redecode_traces, transmit_over, ChannelMedium, L2SetMedium, LinkCongestionMedium,
+    redecode_traces, transmit, transmit_over, ChannelMedium, L2SetMedium, LinkCongestionMedium,
     Transmission,
 };
 pub use obs::{extract_anatomy, slot_latency_histogram, ChannelAnatomy};

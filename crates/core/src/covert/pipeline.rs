@@ -236,10 +236,10 @@ impl Coding {
 
 /// A complete receive-side configuration: slot decoder plus coding
 /// layer. Any pipeline runs over any [`ChannelMedium`] through
-/// [`transmit_over`].
+/// [`transmit`].
 ///
 /// [`ChannelMedium`]: super::medium::ChannelMedium
-/// [`transmit_over`]: super::medium::transmit_over
+/// [`transmit`]: super::medium::transmit
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pipeline {
     /// Slot decoder stage.

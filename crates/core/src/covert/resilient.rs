@@ -3,7 +3,7 @@
 //! the protocol hardening evaluated against the fabric's fault
 //! injection ([`gpubox_sim::fault`]).
 //!
-//! The plain pipeline ([`super::medium::transmit_over`]) sends one
+//! The plain pipeline ([`super::medium::transmit`]) sends one
 //! monolithic frame and self-calibrates one decision boundary over the
 //! whole trace. A scheduled link failure mid-transmission breaks both
 //! assumptions at once: every slot inside the outage window reads at a
@@ -43,8 +43,7 @@
 //!   absolute time — the backoff shifts the (shorter) retransmission
 //!   stream relative to that window instead of replaying the collision
 //!   verbatim. No randomness anywhere: the whole exchange is
-//!   bit-reproducible and scheduler-invariant like the rest of the
-//!   stack.
+//!   bit-reproducible like the rest of the stack.
 
 use super::agents::SpyTrace;
 use super::medium::{listen_horizon, ChannelMedium, GRACE_SLOTS};
@@ -54,7 +53,7 @@ use super::protocol::{
     CRC_BITS, SEQ_BITS,
 };
 use gpubox_sim::telemetry::{TraceKind, NO_PROCESS};
-use gpubox_sim::{Engine, MultiGpuSystem, SchedulerKind, SimResult};
+use gpubox_sim::{Engine, MultiGpuSystem, SimResult};
 
 /// Retransmission policy of [`transmit_resilient`] — protocol constants
 /// both endpoints share out of band, like [`ChannelParams`].
@@ -186,7 +185,7 @@ fn alternate(p: BoundaryPolicy) -> BoundaryPolicy {
 /// with deterministic whole-slot backoff.
 ///
 /// The naive counterpart for comparisons is
-/// [`super::medium::transmit_over`] with the same pipeline: one
+/// [`super::medium::transmit`] with the same pipeline: one
 /// monolithic frame, no integrity check, no retry.
 ///
 /// # Errors
@@ -207,7 +206,6 @@ pub fn transmit_resilient(
     params: &ChannelParams,
     pipeline: &Pipeline,
     retry: &RetryConfig,
-    sched: SchedulerKind,
 ) -> SimResult<ResilientReport> {
     assert!(retry.chunk_bits >= 1, "frames need at least one payload bit");
     assert!(!payload.is_empty(), "nothing to transmit");
@@ -286,7 +284,7 @@ pub fn transmit_resilient(
         }
 
         medium.prepare(sys)?;
-        let mut eng = Engine::with_scheduler(sys, sched);
+        let mut eng = Engine::new(sys);
         let mut traces: Vec<Option<SpyTrace>> = Vec::with_capacity(k);
         for (lane, bits) in lane_bits.iter().enumerate() {
             if bits.is_empty() {
@@ -447,7 +445,6 @@ mod tests {
             &params,
             &Pipeline::vote(BoundaryPolicy::Quantile),
             &RetryConfig::default(),
-            SchedulerKind::Auto,
         )
         .unwrap();
         assert_eq!(report.bit_errors, 0, "received {:?}", report.received);
@@ -490,7 +487,6 @@ mod tests {
                 max_retries: 4,
                 ..Default::default()
             },
-            SchedulerKind::Auto,
         )
         .unwrap();
         assert_eq!(
@@ -531,7 +527,6 @@ mod tests {
                 max_retries: 1,
                 ..Default::default()
             },
-            SchedulerKind::Auto,
         )
         .unwrap();
         assert_eq!(report.rounds, 2, "initial round plus exactly one retry");

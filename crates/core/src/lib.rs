@@ -20,7 +20,7 @@
 //!    transport-agnostic pipeline: a `ChannelMedium` trait with two
 //!    implementations (Prime+Probe over shared L2 sets — Fig. 8/9/10 —
 //!    and NVLink congestion over the timed link fabric, no shared cache
-//!    set), one generic `transmit_over` owning framing/striping/sync,
+//!    set), one generic `transmit` owning framing/striping/sync,
 //!    and a composable receive stack (2-means or quantile boundary ×
 //!    per-sample vote or matched filter × optional Hamming(7,4)+
 //!    interleave coding).
@@ -63,10 +63,10 @@ pub mod timing_re;
 pub use alignment::{align_classes, paired_sets, AlignmentConfig, ClassMatch};
 pub use cache_re::{derive_cache_architecture, CacheArchReport, DetectedPolicy};
 pub use covert::{
-    extract_anatomy, redecode_traces, slot_latency_histogram, transmit_over, transmit_resilient,
-    BoundaryPolicy, ChannelAnatomy, ChannelMedium, ChannelParams, ChannelReport, Coding, Decoder,
-    L2SetMedium, LinkChannel, LinkCongestionMedium, Pipeline, ResilientReport, RetryConfig,
-    SetPair, Transmission,
+    extract_anatomy, redecode_traces, slot_latency_histogram, transmit, transmit_over,
+    transmit_resilient, BoundaryPolicy, ChannelAnatomy, ChannelMedium, ChannelParams,
+    ChannelReport, Coding, Decoder, L2SetMedium, LinkChannel, LinkCongestionMedium, Pipeline,
+    ResilientReport, RetryConfig, SetPair, Transmission,
 };
 pub use eviction::{
     classify_pages, classify_pages_fast, dedupe_aliased, discover_conflicts,

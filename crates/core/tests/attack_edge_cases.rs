@@ -156,8 +156,7 @@ fn thresholds_serde_round_trip() {
 #[test]
 fn empty_payload_transmits_without_panicking() {
     use gpubox_attacks::covert::bits_from_bytes;
-    use gpubox_attacks::{transmit_over, L2SetMedium, Pipeline, SetPair};
-    use gpubox_sim::SchedulerKind;
+    use gpubox_attacks::{transmit, L2SetMedium, Pipeline, SetPair};
 
     let mut sys = MultiGpuSystem::new(SystemConfig::small_test().noiseless());
     let thr = Thresholds::paper_defaults();
@@ -188,13 +187,12 @@ fn empty_payload_transmits_without_panicking() {
         pairs: &pairs,
         thresholds: thr,
     };
-    let rep = transmit_over(
+    let rep = transmit(
         &mut sys,
         &medium,
         &bits_from_bytes(b""),
         &ChannelParams::default(),
         &Pipeline::vote(BoundaryPolicy::TwoMeans),
-        SchedulerKind::Auto,
     )
     .unwrap();
     assert_eq!(rep.sent.len(), 0);

@@ -4,7 +4,7 @@
 //! channels moved onto the transport-agnostic pipeline, running the
 //! original implementations on small deterministic fixtures: an FNV-1a
 //! fold over the decoded payload, the error count, the end-of-run clock
-//! and every recorded spy probe sample. `transmit_over` with each
+//! and every recorded spy probe sample. `transmit` with each
 //! channel family's vote pipeline must keep reproducing them
 //! bit-for-bit — framing, agent wiring, engine interleaving and decoding
 //! are all inside the hash. (The larger DGX-scale gates live in the
@@ -12,13 +12,12 @@
 
 use gpubox_attacks::covert::bits_from_bytes;
 use gpubox_attacks::{
-    align_classes, classify_pages, paired_sets, transmit_over, AlignmentConfig, BoundaryPolicy,
+    align_classes, classify_pages, paired_sets, transmit, AlignmentConfig, BoundaryPolicy,
     ChannelParams, ChannelReport, L2SetMedium, LinkChannel, LinkCongestionMedium, Locality,
     Pipeline, ScanConfig, SetPair, Thresholds,
 };
 use gpubox_sim::{
-    FabricConfig, FaultPlan, GpuId, MultiGpuSystem, ProcessCtx, ProcessId, SchedulerKind,
-    SystemConfig, VirtAddr,
+    FabricConfig, FaultPlan, GpuId, MultiGpuSystem, ProcessCtx, ProcessId, SystemConfig, VirtAddr,
 };
 
 fn fnv(h: &mut u64, x: u64) {
@@ -116,12 +115,12 @@ fn send_l2(noiseless: bool, lanes: usize, payload: &[u8]) -> ChannelReport {
         thresholds: Thresholds::paper_defaults(),
     };
     let (params, pipeline) = (ChannelParams::default(), Pipeline::vote(BoundaryPolicy::TwoMeans));
-    transmit_over(&mut sys, &medium, payload, &params, &pipeline, SchedulerKind::Auto).unwrap()
+    transmit(&mut sys, &medium, payload, &params, &pipeline).unwrap()
 }
 
 /// The congestion channel (3 trojan streams) on the link fixture, with
 /// `plan` installed if given, decoded by its quantile-anchored vote.
-fn send_link(plan: Option<FaultPlan>, sched: SchedulerKind) -> ChannelReport {
+fn send_link(plan: Option<FaultPlan>) -> ChannelReport {
     let payload = bits_from_bytes(b"fingerprint link");
     let params = ChannelParams {
         spy_gap: 600,
@@ -141,7 +140,7 @@ fn send_link(plan: Option<FaultPlan>, sched: SchedulerKind) -> ChannelReport {
         },
     };
     let pipeline = Pipeline::vote(BoundaryPolicy::Quantile);
-    transmit_over(&mut sys, &medium, &payload, &params, &pipeline, sched).unwrap()
+    transmit(&mut sys, &medium, &payload, &params, &pipeline).unwrap()
 }
 
 const FOX: &[u8] = b"fingerprint: the quick brown fox";
@@ -165,11 +164,8 @@ fn l2_channel_reproduces_pr3_single_set_fingerprint() {
 }
 
 #[test]
-fn link_channel_reproduces_pr3_fingerprint_on_both_schedulers() {
-    for sched in [SchedulerKind::Heap, SchedulerKind::Linear] {
-        let rep = send_link(None, sched);
-        assert_eq!(report_fingerprint(&rep), LINK_FP, "scheduler {sched:?}");
-    }
+fn link_channel_reproduces_its_fingerprint() {
+    assert_eq!(report_fingerprint(&send_link(None)), LINK_FP);
 }
 
 /// The fault-injection layer must be bit-invisible until a fault
@@ -188,14 +184,7 @@ fn link_channel_is_bit_identical_with_faults_armed() {
         ),
     ];
     for (label, plan) in plans {
-        for sched in [SchedulerKind::Heap, SchedulerKind::Linear] {
-            let rep = send_link(Some(plan.clone()), sched);
-            assert_eq!(
-                report_fingerprint(&rep),
-                LINK_FP,
-                "({label}, scheduler {sched:?})"
-            );
-        }
+        assert_eq!(report_fingerprint(&send_link(Some(plan))), LINK_FP, "{label}");
     }
 }
 
@@ -218,6 +207,6 @@ fn print_current_fingerprints() {
     println!("L2_NOISY_FP: {:#x}", report_fingerprint(&send_l2(false, 4, &fox)));
     let one = send_l2(true, 1, &bits_from_bytes(b"one lane"));
     println!("L2_SINGLE_SET_FP: {:#x}", report_fingerprint(&one));
-    let link = send_link(None, SchedulerKind::Heap);
+    let link = send_link(None);
     println!("LINK_FP: {:#x}", report_fingerprint(&link));
 }

@@ -1,13 +1,12 @@
 //! Counting-allocator proof that the unified covert pipeline's
 //! steady-state engine loop is allocation-free on **both media**.
 //!
-//! The media are staged exactly as `transmit_over` stages them (through
+//! The media are staged exactly as `transmit` stages them (through
 //! `Transmission::prepare` / `install`), the engine runs a
 //! warm-up window (first batches size the engine scratch buffers, the
 //! spy traces get their capacity reserved), the global allocation
 //! counter is snapshotted, and a long steady-state window must not move
-//! it — for the L2 Prime+Probe medium and the link-congestion medium,
-//! on both schedulers.
+//! it — for the L2 Prime+Probe medium and the link-congestion medium.
 //!
 //! Trace capacity is pre-reserved from a deterministic rehearsal run
 //! (same seed ⇒ same sample count): `SpyTrace` growth is the one
@@ -25,8 +24,7 @@ use gpubox_attacks::{
     Locality, Pipeline, ScanConfig, SetPair, Thresholds, Transmission,
 };
 use gpubox_sim::{
-    Engine, FabricConfig, GpuId, MultiGpuSystem, ProcessCtx, ProcessId, SchedulerKind,
-    SystemConfig, VirtAddr,
+    Engine, FabricConfig, GpuId, MultiGpuSystem, ProcessCtx, ProcessId, SystemConfig, VirtAddr,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -122,12 +120,11 @@ fn steady_state_allocs(
     sys: &mut MultiGpuSystem,
     params: &ChannelParams,
     payload: &[u8],
-    sched: SchedulerKind,
     reserve: usize,
 ) -> (u64, Vec<SpyTrace>) {
     let pipeline = Pipeline::vote(BoundaryPolicy::TwoMeans);
     let mut tx = Transmission::prepare(sys, medium, payload, params, &pipeline).unwrap();
-    let mut eng = Engine::with_scheduler(sys, sched);
+    let mut eng = Engine::new(sys);
     assert!(tx.install(&mut eng, 0) > WARMUP + STEADY, "spies listen past the steady window");
     eng.run(WARMUP).unwrap();
     for t in tx.traces() {
@@ -147,73 +144,64 @@ fn unified_pipeline_steady_state_allocates_nothing_on_both_media() {
     let params = ChannelParams::default();
     let payload: Vec<u8> = (0..256).map(|i| u8::from(i % 3 != 0)).collect();
 
-    for sched in [SchedulerKind::Linear, SchedulerKind::Heap] {
-        // --- L2 Prime+Probe medium ------------------------------------
-        // Rehearsal sizes the trace reservation; the measured run then
-        // must not allocate at all in steady state.
-        let mut rehearsal_samples = 0usize;
-        for measured in [false, true] {
-            let (mut sys, trojan, spy, pairs) = l2_fixture();
-            let medium = L2SetMedium {
-                trojan,
-                spy,
-                pairs: &pairs,
-                thresholds: Thresholds::paper_defaults(),
-            };
-            let reserve = if measured { rehearsal_samples * 2 + 64 } else { 0 };
-            let (delta, traces) =
-                steady_state_allocs(&medium, &mut sys, &params, &payload, sched, reserve);
-            if measured {
-                assert_eq!(
-                    delta, 0,
-                    "L2 medium steady-state loop allocated under {sched:?}"
-                );
-            } else {
-                rehearsal_samples = traces.iter().map(SpyTrace::len).max().unwrap_or(0);
-                assert!(rehearsal_samples > 0, "rehearsal must record probes");
-            }
+    // --- L2 Prime+Probe medium ------------------------------------
+    // Rehearsal sizes the trace reservation; the measured run then
+    // must not allocate at all in steady state.
+    let mut rehearsal_samples = 0usize;
+    for measured in [false, true] {
+        let (mut sys, trojan, spy, pairs) = l2_fixture();
+        let medium = L2SetMedium {
+            trojan,
+            spy,
+            pairs: &pairs,
+            thresholds: Thresholds::paper_defaults(),
+        };
+        let reserve = if measured { rehearsal_samples * 2 + 64 } else { 0 };
+        let (delta, traces) = steady_state_allocs(&medium, &mut sys, &params, &payload, reserve);
+        if measured {
+            assert_eq!(delta, 0, "L2 medium steady-state loop allocated");
+        } else {
+            rehearsal_samples = traces.iter().map(SpyTrace::len).max().unwrap_or(0);
+            assert!(rehearsal_samples > 0, "rehearsal must record probes");
         }
+    }
 
-        // --- Link-congestion medium -----------------------------------
-        let mut rehearsal_samples = 0usize;
-        for measured in [false, true] {
-            let cfg = SystemConfig::small_test()
-                .noiseless()
-                .with_fabric(FabricConfig::nvlink_v1());
-            let mut sys = MultiGpuSystem::new(cfg);
-            let trojan = sys.create_process(GpuId::new(1));
-            let spy = sys.create_process(GpuId::new(1));
-            sys.enable_peer_access(trojan, GpuId::new(0)).unwrap();
-            sys.enable_peer_access(spy, GpuId::new(0)).unwrap();
-            let tb = sys.malloc_on(trojan, GpuId::new(0), 32 * 4096).unwrap();
-            let sb = sys.malloc_on(spy, GpuId::new(0), 8 * 4096).unwrap();
-            let tl: Vec<VirtAddr> = (0..32).map(|i| tb.offset(i * 4096)).collect();
-            let sl: Vec<VirtAddr> = (0..8).map(|i| sb.offset(i * 4096)).collect();
-            let medium = LinkCongestionMedium {
-                trojan,
-                spy,
-                channel: LinkChannel {
-                    trojan_lines: &tl,
-                    spy_lines: &sl,
-                    trojan_streams: 3,
-                },
-            };
-            let link_params = ChannelParams {
-                spy_gap: 600,
-                ..Default::default()
-            };
-            let reserve = if measured { rehearsal_samples * 2 + 64 } else { 0 };
-            let (delta, traces) =
-                steady_state_allocs(&medium, &mut sys, &link_params, &payload, sched, reserve);
-            if measured {
-                assert_eq!(
-                    delta, 0,
-                    "link medium steady-state loop allocated under {sched:?}"
-                );
-            } else {
-                rehearsal_samples = traces.iter().map(SpyTrace::len).max().unwrap_or(0);
-                assert!(rehearsal_samples > 0, "rehearsal must record probes");
-            }
+    // --- Link-congestion medium -----------------------------------
+    let mut rehearsal_samples = 0usize;
+    for measured in [false, true] {
+        let cfg = SystemConfig::small_test()
+            .noiseless()
+            .with_fabric(FabricConfig::nvlink_v1());
+        let mut sys = MultiGpuSystem::new(cfg);
+        let trojan = sys.create_process(GpuId::new(1));
+        let spy = sys.create_process(GpuId::new(1));
+        sys.enable_peer_access(trojan, GpuId::new(0)).unwrap();
+        sys.enable_peer_access(spy, GpuId::new(0)).unwrap();
+        let tb = sys.malloc_on(trojan, GpuId::new(0), 32 * 4096).unwrap();
+        let sb = sys.malloc_on(spy, GpuId::new(0), 8 * 4096).unwrap();
+        let tl: Vec<VirtAddr> = (0..32).map(|i| tb.offset(i * 4096)).collect();
+        let sl: Vec<VirtAddr> = (0..8).map(|i| sb.offset(i * 4096)).collect();
+        let medium = LinkCongestionMedium {
+            trojan,
+            spy,
+            channel: LinkChannel {
+                trojan_lines: &tl,
+                spy_lines: &sl,
+                trojan_streams: 3,
+            },
+        };
+        let link_params = ChannelParams {
+            spy_gap: 600,
+            ..Default::default()
+        };
+        let reserve = if measured { rehearsal_samples * 2 + 64 } else { 0 };
+        let (delta, traces) =
+            steady_state_allocs(&medium, &mut sys, &link_params, &payload, reserve);
+        if measured {
+            assert_eq!(delta, 0, "link medium steady-state loop allocated");
+        } else {
+            rehearsal_samples = traces.iter().map(SpyTrace::len).max().unwrap_or(0);
+            assert!(rehearsal_samples > 0, "rehearsal must record probes");
         }
     }
 }

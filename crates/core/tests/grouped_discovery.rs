@@ -10,18 +10,17 @@
 //!    additionally checked against the simulator's address oracle;
 //! 2. an exact classic-vs-fast comparison at full DGX-1 scale, local and
 //!    remote;
-//! 3. a transmission over fast-path-discovered sets under both engine
-//!    schedulers, asserting the recovered payloads are bit-identical —
-//!    discovery feeds the channel the same sets regardless of scheduler.
+//! 3. a transmission over fast-path-discovered sets, asserting the
+//!    channel decodes near-cleanly over them.
 
 use gpubox_attacks::covert::bits_from_bytes;
 use gpubox_attacks::timing_re::measure_timing;
 use gpubox_attacks::{
-    align_classes, classify_pages, classify_pages_fast, paired_sets, transmit_over,
+    align_classes, classify_pages, classify_pages_fast, paired_sets, transmit,
     verify_classes_against_oracle, AlignmentConfig, BoundaryPolicy, ChannelParams, L2SetMedium,
     Locality, PageClasses, Pipeline, ScanConfig, SetPair, Thresholds,
 };
-use gpubox_sim::{GpuId, MultiGpuSystem, ProcessCtx, SchedulerKind, SystemConfig};
+use gpubox_sim::{GpuId, MultiGpuSystem, ProcessCtx, SystemConfig};
 use proptest::prelude::*;
 
 /// A 2-GPU box with an arbitrary L2 geometry (always 128 B lines, LRU).
@@ -185,34 +184,24 @@ fn prepare_fast(seed: u64) -> (MultiGpuSystem, gpubox_sim::ProcessId, gpubox_sim
     (sys, trojan, spy, pairs, thr)
 }
 
-/// The covert channel over fast-path-discovered sets recovers the same
-/// bits under the heap and linear engine schedulers.
+/// The covert channel over fast-path-discovered sets recovers the bits.
 #[test]
-fn fast_sets_transmit_identically_under_both_schedulers() {
+fn fast_sets_transmit_cleanly() {
     let payload = bits_from_bytes(b"grouped discovery feeds both schedulers");
     let params = ChannelParams::default();
-    let mut reports = Vec::new();
-    for sched in [SchedulerKind::Heap, SchedulerKind::Linear] {
-        let (mut sys, trojan, spy, pairs, thr) = prepare_fast(31337);
-        let medium = L2SetMedium {
-            trojan,
-            spy,
-            pairs: &pairs,
-            thresholds: thr,
-        };
-        let pipeline = Pipeline::vote(BoundaryPolicy::TwoMeans);
-        let rep = transmit_over(&mut sys, &medium, &payload, &params, &pipeline, sched).unwrap();
-        reports.push(rep);
-    }
-    let (heap, linear) = (&reports[0], &reports[1]);
+    let (mut sys, trojan, spy, pairs, thr) = prepare_fast(31337);
+    let medium = L2SetMedium {
+        trojan,
+        spy,
+        pairs: &pairs,
+        thresholds: thr,
+    };
+    let pipeline = Pipeline::vote(BoundaryPolicy::TwoMeans);
+    let rep = transmit(&mut sys, &medium, &payload, &params, &pipeline).unwrap();
     assert!(
-        heap.error_rate < 0.05,
+        rep.error_rate < 0.05,
         "channel over fast-path sets should be near-clean, got {:.3}",
-        heap.error_rate
+        rep.error_rate
     );
-    assert_eq!(heap.received, linear.received);
-    assert_eq!(heap.bit_errors, linear.bit_errors);
-    assert_eq!(heap.duration_cycles, linear.duration_cycles);
-    assert_eq!(heap.listen_cycles, linear.listen_cycles);
 }
 

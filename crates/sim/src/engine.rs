@@ -29,35 +29,25 @@
 //! The allocation-freedom of the warm loop is asserted by a
 //! counting-allocator integration test (`tests/alloc_free.rs`).
 //!
-//! # Scheduler selection
+//! # Scheduling
 //!
-//! Picking the next agent is the engine's own hot path. Two schedulers
-//! implement the same policy — *run the live agent with the smallest
-//! `(clock, slot index)` key* — and are chosen per [`Engine::run`] call:
-//!
-//! - **Cached-min linear scan** for up to 4 live agents (the paper's
-//!   trojan/spy regime): the minimum and runner-up are cached, so an agent
-//!   issuing consecutive ops that stay below the runner-up's clock is
-//!   re-picked in O(1) without a rescan.
-//! - **Binary-heap event queue** beyond 4 agents (multi-tenant scenarios:
-//!   many background/noise tenants contending with the trojan/spy pair):
-//!   pop-min / push-updated in O(log n).
-//!
-//! Ties on the clock are broken towards the **lowest slot index** (the
-//! order agents were added). Both schedulers encode the tie-break in the
-//! comparison key itself, so heap and linear interleavings are
-//! bit-identical. That equivalence is proven in one place: the engine
-//! `debug_assert`s every pick against the policy, and
-//! `tests/scheduler_equivalence.rs` checks it on randomized agent mixes.
-//! Experiments run [`Engine::new`] ([`SchedulerKind::Auto`]) and do not
-//! re-run their sweeps per scheduler. [`Engine::with_scheduler`] forces a
-//! choice; `ext_multi_tenant_noise` uses it to compare heap and linear
-//! throughput, which backs [`LINEAR_SCHED_MAX_AGENTS`].
+//! Picking the next agent is the engine's own hot path. Live agents sit in
+//! one binary heap keyed `Reverse((clock, slot index))`: the top is the
+//! agent furthest behind, ties on the clock go to the **lowest slot index**
+//! (the order agents were added), and after a step the stepped slot is
+//! sifted back into place through [`BinaryHeap::peek_mut`] (or popped when
+//! it finished). Because the tie-break lives in the key, the interleaving is
+//! a pure function of the agents' op streams. In debug builds [`Engine::run`]
+//! checks every pick against a linear min-scan, and
+//! `tests/scheduler_equivalence.rs` checks the law on randomized agent
+//! mixes: the engine-order log of `(start clock, slot)` keys never
+//! decreases and every agent finishes.
 
 use crate::address::VirtAddr;
 use crate::error::SimResult;
 use crate::system::{AgentId, MultiGpuSystem, ProcessId};
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 /// One operation an agent asks the machine to perform.
@@ -172,23 +162,19 @@ pub trait Agent {
     }
 }
 
-/// Which next-agent scheduler [`Engine::run`] uses.
+/// The engine's scheduler. It has one variant: the engine always runs the
+/// `(clock, slot index)` heap described in the module docs.
+///
+/// Kept only because perfbench still calls
+/// `transmit_over(.., SchedulerKind::Auto)`; it is deleted once perfbench
+/// moves to `transmit` (ROADMAP item 3).
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
-    /// Cached-min linear scan while at most [`LINEAR_SCHED_MAX_AGENTS`]
-    /// agents are live at the start of a run, binary heap beyond.
+    /// The one scheduler.
     #[default]
     Auto,
-    /// Always the cached-min linear scan.
-    Linear,
-    /// Always the binary-heap event queue.
-    Heap,
 }
-
-/// Live-agent count up to which [`SchedulerKind::Auto`] stays on the
-/// linear scan (the paper's two-agent setup plus a victim and one noise
-/// tenant); beyond it the heap's O(log n) pop/push wins.
-pub const LINEAR_SCHED_MAX_AGENTS: usize = 4;
 
 /// Consecutive zero-duration dispatches [`Engine::run`] tolerates before
 /// declaring the simulation livelocked.
@@ -213,16 +199,6 @@ struct Slot {
     done: bool,
 }
 
-/// Cached linear-scan state: the current minimum slot and the runner-up
-/// key. Stepping the minimum only invalidates the cache when its new key
-/// passes the runner-up.
-#[derive(Debug, Clone, Copy)]
-struct CachedMin {
-    idx: usize,
-    runner_clock: u64,
-    runner_idx: usize,
-}
-
 /// Runs agents against a shared [`MultiGpuSystem`] in timestamp order.
 pub struct Engine<'a> {
     sys: &'a mut MultiGpuSystem,
@@ -231,42 +207,22 @@ pub struct Engine<'a> {
     stage: ProbeStage,
     /// Engine-owned latency scratch; `OpResult::latencies` borrows it.
     lat: Vec<u32>,
-    kind: SchedulerKind,
-    /// Resolved per run: whether the heap scheduler is active.
-    use_heap: bool,
     /// Event queue of `Reverse((clock, slot index))` for live agents.
     heap: BinaryHeap<Reverse<(u64, usize)>>,
-    cached_min: Option<CachedMin>,
 }
 
 impl<'a> Engine<'a> {
-    /// Creates an engine over the system with automatic scheduler
-    /// selection. Clears transient timing state (pressure windows,
-    /// congestion) because agent clocks restart at zero.
+    /// Creates an engine over the system. Clears transient timing state
+    /// (pressure windows, congestion) because agent clocks restart at zero.
     pub fn new(sys: &'a mut MultiGpuSystem) -> Self {
-        Engine::with_scheduler(sys, SchedulerKind::Auto)
-    }
-
-    /// As [`Engine::new`] but forcing a scheduler (equivalence tests and
-    /// scaling experiments; both schedulers produce bit-identical
-    /// interleavings).
-    pub fn with_scheduler(sys: &'a mut MultiGpuSystem, kind: SchedulerKind) -> Self {
         sys.reset_timing_state();
         Engine {
             sys,
             slots: Vec::new(),
             stage: ProbeStage::default(),
             lat: Vec::with_capacity(64),
-            kind,
-            use_heap: false,
             heap: BinaryHeap::new(),
-            cached_min: None,
         }
-    }
-
-    /// The configured scheduler kind.
-    pub fn scheduler(&self) -> SchedulerKind {
-        self.kind
     }
 
     /// The system being driven. Lets window-stepping callers (the
@@ -295,88 +251,30 @@ impl<'a> Engine<'a> {
         });
     }
 
-    /// Resolves [`SchedulerKind::Auto`] against the live-agent count and
-    /// (re)builds the chosen scheduler's state. Called at every
-    /// [`Engine::run`] entry so agents added between runs are picked up.
-    /// The heap's backing storage is retained across runs.
-    fn prepare_scheduler(&mut self) {
-        let live = self.slots.iter().filter(|s| !s.done).count();
-        self.use_heap = match self.kind {
-            SchedulerKind::Linear => false,
-            SchedulerKind::Heap => true,
-            SchedulerKind::Auto => live > LINEAR_SCHED_MAX_AGENTS,
-        };
-        self.cached_min = None;
+    /// Rebuilds the heap from the live slots. Called at every
+    /// [`Engine::run`] entry so agents added between runs are picked up;
+    /// the heap's backing storage is retained across runs.
+    fn prepare_heap(&mut self) {
         self.heap.clear();
-        if self.use_heap {
-            self.heap.reserve(live);
-            for (i, s) in self.slots.iter().enumerate() {
-                if !s.done {
-                    self.heap.push(Reverse((s.clock, i)));
-                }
-            }
-        }
+        self.heap.extend(
+            self.slots
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| !s.done)
+                .map(|(i, s)| Reverse((s.clock, i))),
+        );
     }
 
-    /// The live slot with the smallest `(clock, index)` key, if any.
-    fn next_runnable(&mut self) -> Option<usize> {
-        if self.use_heap {
-            return self.heap.peek().map(|&Reverse((_, i))| i);
-        }
-        if let Some(c) = self.cached_min {
-            return Some(c.idx);
-        }
-        // Full scan: track the minimum and the runner-up in one pass.
-        let mut best: Option<(u64, usize)> = None;
-        let mut runner = (u64::MAX, usize::MAX);
-        for (i, s) in self.slots.iter().enumerate() {
-            if s.done {
-                continue;
-            }
-            let key = (s.clock, i);
-            match best {
-                None => best = Some(key),
-                Some(b) if key < b => {
-                    runner = b;
-                    best = Some(key);
-                }
-                Some(_) => {
-                    if key < runner {
-                        runner = key;
-                    }
-                }
-            }
-        }
-        let (_, i) = best?;
-        self.cached_min = Some(CachedMin {
-            idx: i,
-            runner_clock: runner.0,
-            runner_idx: runner.1,
-        });
-        Some(i)
-    }
-
-    /// Updates scheduler state after slot `i` was stepped (its clock
-    /// advanced, or it finished).
+    /// Puts slot `i`, the heap top just stepped, back in place: one
+    /// sift-down to its new clock, or a pop once it finished.
     fn reschedule(&mut self, i: usize) {
-        let clock = self.slots[i].clock;
-        let done = self.slots[i].done;
-        if self.use_heap {
-            let popped = self.heap.pop();
-            debug_assert!(
-                matches!(popped, Some(Reverse((_, j))) if j == i),
-                "heap top must be the slot just stepped"
-            );
-            if !done {
-                self.heap.push(Reverse((clock, i)));
-            }
-        } else if let Some(c) = self.cached_min {
-            debug_assert_eq!(c.idx, i, "cached minimum must be the slot just stepped");
-            // Only the stepped slot's key changed; it stays the minimum
-            // while strictly below the runner-up's (clock, index) key.
-            if done || (clock, i) >= (c.runner_clock, c.runner_idx) {
-                self.cached_min = None;
-            }
+        let slot = &self.slots[i];
+        let mut top = self.heap.peek_mut().expect("the stepped slot is live");
+        debug_assert_eq!(top.0 .1, i, "heap top must be the slot just stepped");
+        if slot.done {
+            PeekMut::pop(top);
+        } else {
+            top.0 .0 = slot.clock;
         }
     }
 
@@ -392,7 +290,7 @@ impl<'a> Engine<'a> {
     ///   `false`), yet its start offset still counts as its local clock —
     ///   so the returned time can *exceed* `deadline`.
     /// - `run` may be called again with a later deadline to resume; agents
-    ///   keep their clocks and completion state, and the scheduler is
+    ///   keep their clocks and completion state, and the heap is
     ///   rebuilt to include agents added in between.
     ///
     /// # Errors
@@ -403,9 +301,9 @@ impl<'a> Engine<'a> {
     /// clock (agents spinning on [`Op::Compute`]`(0)`), which a deadline
     /// alone can never terminate.
     pub fn run(&mut self, deadline: u64) -> SimResult<u64> {
-        self.prepare_scheduler();
+        self.prepare_heap();
         let mut zero_streak: u64 = 0;
-        while let Some(i) = self.next_runnable() {
+        while let Some(&Reverse((_, i))) = self.heap.peek() {
             #[cfg(debug_assertions)]
             {
                 // Asserted stable tie-break: the pick is the lowest-index
@@ -516,7 +414,6 @@ impl std::fmt::Debug for Engine<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("agents", &self.slots.len())
-            .field("scheduler", &self.kind)
             .finish()
     }
 }
@@ -814,32 +711,29 @@ mod tests {
 
     #[test]
     fn equal_clocks_break_ties_by_slot_index() {
-        for kind in [SchedulerKind::Linear, SchedulerKind::Heap] {
-            let mut sys = MultiGpuSystem::new(SystemConfig::small_test().noiseless());
-            let p = sys.create_process(GpuId::new(0));
-            let log = Rc::new(RefCell::new(Vec::new()));
-            let mut eng = Engine::with_scheduler(&mut sys, kind);
-            for tag in 0..3 {
-                eng.add_agent(
-                    Box::new(LoggedCompute {
-                        pid: p,
-                        tag,
-                        remaining: 2,
-                        step: 100,
-                        log: Rc::clone(&log),
-                    }),
-                    0,
-                );
-            }
-            eng.run(u64::MAX).unwrap();
-            // All agents share every clock value; order must be slot order
-            // within each time step.
-            assert_eq!(
-                &*log.borrow(),
-                &[(0, 0), (1, 0), (2, 0), (0, 100), (1, 100), (2, 100)],
-                "scheduler {kind:?}"
+        let mut sys = MultiGpuSystem::new(SystemConfig::small_test().noiseless());
+        let p = sys.create_process(GpuId::new(0));
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut eng = Engine::new(&mut sys);
+        for tag in 0..3 {
+            eng.add_agent(
+                Box::new(LoggedCompute {
+                    pid: p,
+                    tag,
+                    remaining: 2,
+                    step: 100,
+                    log: Rc::clone(&log),
+                }),
+                0,
             );
         }
+        eng.run(u64::MAX).unwrap();
+        // All agents share every clock value; order must be slot order
+        // within each time step.
+        assert_eq!(
+            &*log.borrow(),
+            &[(0, 0), (1, 0), (2, 0), (0, 100), (1, 100), (2, 100)]
+        );
     }
 
     #[test]
@@ -856,18 +750,12 @@ mod tests {
                 self.0
             }
         }
-        for kind in [SchedulerKind::Linear, SchedulerKind::Heap] {
-            let mut sys = MultiGpuSystem::new(SystemConfig::small_test().noiseless());
-            let p = sys.create_process(GpuId::new(0));
-            let mut eng = Engine::with_scheduler(&mut sys, kind);
-            eng.add_agent(Box::new(Spinner(p)), 7);
-            let err = eng.run(u64::MAX).unwrap_err();
-            assert_eq!(
-                err,
-                crate::error::SimError::Livelocked { at: 7 },
-                "scheduler {kind:?}"
-            );
-        }
+        let mut sys = MultiGpuSystem::new(SystemConfig::small_test().noiseless());
+        let p = sys.create_process(GpuId::new(0));
+        let mut eng = Engine::new(&mut sys);
+        eng.add_agent(Box::new(Spinner(p)), 7);
+        let err = eng.run(u64::MAX).unwrap_err();
+        assert_eq!(err, crate::error::SimError::Livelocked { at: 7 });
     }
 
     #[test]
@@ -909,29 +797,6 @@ mod tests {
             0,
         );
         eng.run(u64::MAX).unwrap();
-        assert!(eng.all_done());
-    }
-
-    #[test]
-    fn auto_scheduler_switches_to_heap_beyond_linear_max() {
-        let mut sys = MultiGpuSystem::new(SystemConfig::small_test().noiseless());
-        let p = sys.create_process(GpuId::new(0));
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let mut eng = Engine::new(&mut sys);
-        for tag in 0..LINEAR_SCHED_MAX_AGENTS + 2 {
-            eng.add_agent(
-                Box::new(LoggedCompute {
-                    pid: p,
-                    tag,
-                    remaining: 1,
-                    step: 10,
-                    log: Rc::clone(&log),
-                }),
-                0,
-            );
-        }
-        eng.run(u64::MAX).unwrap();
-        assert!(eng.use_heap, "auto must pick the heap for >4 live agents");
         assert!(eng.all_done());
     }
 }

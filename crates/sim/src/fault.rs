@@ -36,7 +36,7 @@
 //! - **Transient stalls** ([`TransientStalls`]): every hop draws from a
 //!   splitmix64 stream keyed on the hop counter *and* the hop's
 //!   512-cycle arrival window (the QoS jitter idiom — no system RNG,
-//!   bit-reproducible across schedulers) and with probability
+//!   bit-reproducible across runs) and with probability
 //!   `per_1024/1024` the line is stalled `stall_cycles` before
 //!   service — replay/CRC-retry blips on a flaky link. The time key
 //!   means an exact replay stalls identically while a time-shifted one

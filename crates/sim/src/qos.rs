@@ -49,7 +49,7 @@
 //!
 //! Like the fabric itself, the QoS layer consumes **no system RNG**
 //! (jitter and valiant picks come from counter-indexed splitmix64
-//! streams, bit-reproducible across schedulers) and performs **no
+//! streams, bit-reproducible across runs) and performs **no
 //! steady-state allocation**: token buckets are preallocated per
 //! process at [`crate::MultiGpuSystem::create_process`] time and valiant
 //! counters are a fixed `n²` table (asserted by the counting-allocator

@@ -5,8 +5,8 @@
 //! test warms an engine (first batches size the scratch buffers, first
 //! stores materialise HBM frame backing), snapshots the counter, runs
 //! thousands more ops across **every op kind** (`Load`, `Store`,
-//! `Compute`, `LoadBatch`) on **both schedulers**, and asserts the counter
-//! did not move. These scenarios use noiseless timing, which skips the
+//! `Compute`, `LoadBatch`) at agent counts from the paper's trojan/spy
+//! pair up to multi-tenant mixes, and asserts the counter did not move. These scenarios use noiseless timing, which skips the
 //! contention-pressure trackers entirely.
 //!
 //! A second scenario runs the same loop on the **default noisy timing**
@@ -63,9 +63,8 @@
 
 use gpubox_sim::{
     run_windowed, Agent, ChannelAware, Engine, FabricConfig, FaultPlan, FleetConfig, FleetRunner,
-    GpuId, Monitor, MonitorConfig, MultiGpuSystem, Op, OpResult, Pack, PlacementPolicy,
-    ProbeStage, ProcessId, QosConfig, RandomPlacement, SchedulerKind, SystemConfig, Topology,
-    VirtAddr,
+    GpuId, Monitor, MonitorConfig, MultiGpuSystem, Op, OpResult, Pack, PlacementPolicy, ProbeStage,
+    ProcessId, QosConfig, RandomPlacement, SystemConfig, Topology, VirtAddr,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -141,38 +140,29 @@ impl Agent for AllKindsAgent {
 
 #[test]
 fn engine_steady_state_loop_is_allocation_free() {
-    for (kind, agents) in [
-        // The paper's regime: trojan/spy-scale agent counts on the
-        // cached-min linear scheduler.
-        (SchedulerKind::Linear, 3),
-        // Multi-tenant regime on the heap event queue.
-        (SchedulerKind::Heap, 8),
-        // Auto resolves to the heap above LINEAR_SCHED_MAX_AGENTS.
-        (SchedulerKind::Auto, 6),
-    ] {
-        let allocs = steady_state_allocs(SystemConfig::small_test().noiseless(), kind, agents);
+    // Trojan/spy-scale agent counts (the paper's regime) and
+    // multi-tenant mixes.
+    for agents in [2, 3, 6, 8] {
+        let allocs = steady_state_allocs(SystemConfig::small_test().noiseless(), agents);
         assert_eq!(
             allocs, 0,
-            "engine steady-state loop allocated {allocs} times \
-             (scheduler {kind:?}, {agents} agents)"
+            "engine steady-state loop allocated {allocs} times ({agents} agents)"
         );
-        let allocs = fabric_steady_state_allocs(kind, agents, QosConfig::off());
+        let allocs = fabric_steady_state_allocs(agents, QosConfig::off());
         assert_eq!(
             allocs, 0,
-            "fabric-enabled steady-state loop allocated {allocs} times \
-             (scheduler {kind:?}, {agents} agents)"
+            "fabric-enabled steady-state loop allocated {allocs} times ({agents} agents)"
         );
     }
 }
 
 #[test]
 fn noisy_steady_state_loop_is_allocation_free() {
-    for (kind, agents) in [(SchedulerKind::Linear, 4), (SchedulerKind::Heap, 8)] {
-        let allocs = steady_state_allocs(SystemConfig::small_test(), kind, agents);
+    for agents in [2, 4, 8] {
+        let allocs = steady_state_allocs(SystemConfig::small_test(), agents);
         assert_eq!(
             allocs, 0,
-            "noisy steady-state loop allocated {allocs} times \
-             (scheduler {kind:?}, {agents} agents)"
+            "noisy steady-state loop allocated {allocs} times ({agents} agents)"
         );
     }
 }
@@ -188,14 +178,11 @@ fn fault_steady_state_loop_is_allocation_free() {
         .with_stalls(7, 16, 450)
         .with_degraded(0, 700_000, 3_000_000, 4)
         .with_link_down(1, 3_000_000, 5_000_000);
-    for kind in [SchedulerKind::Linear, SchedulerKind::Heap] {
-        let allocs = fabric_steady_state_allocs_under(kind, 4, QosConfig::off(), plan.clone());
-        assert_eq!(
-            allocs, 0,
-            "fault-injected steady-state loop allocated {allocs} times \
-             (scheduler {kind:?})"
-        );
-    }
+    let allocs = fabric_steady_state_allocs_under(4, QosConfig::off(), plan);
+    assert_eq!(
+        allocs, 0,
+        "fault-injected steady-state loop allocated {allocs} times"
+    );
 }
 
 #[test]
@@ -212,20 +199,17 @@ fn traced_steady_state_loop_is_allocation_free() {
         .with_rate_limit(640, 1024)
         .with_jitter(900, 17)
         .with_valiant(23);
-    for kind in [SchedulerKind::Linear, SchedulerKind::Heap] {
-        let allocs = fabric_steady_state_allocs_traced(kind, 4, qos, plan.clone(), true);
-        assert_eq!(
-            allocs, 0,
-            "traced steady-state loop allocated {allocs} times \
-             (scheduler {kind:?})"
-        );
-    }
+    let allocs = fabric_steady_state_allocs_traced(4, qos, plan, true);
+    assert_eq!(
+        allocs, 0,
+        "traced steady-state loop allocated {allocs} times"
+    );
 }
 
 #[test]
 fn qos_steady_state_loop_is_allocation_free() {
-    // Each defence mechanism in turn, plus the full stack at once, on
-    // both schedulers. Deliberately tight budgets so the rate limiter
+    // Each defence mechanism in turn, plus the full stack at once.
+    // Deliberately tight budgets so the rate limiter
     // actually shapes traffic inside the measured window.
     let qos_configs = [
         ("rate limit", QosConfig::off().with_rate_limit(640, 1024)),
@@ -241,14 +225,11 @@ fn qos_steady_state_loop_is_allocation_free() {
         ),
     ];
     for (label, qos) in qos_configs {
-        for kind in [SchedulerKind::Linear, SchedulerKind::Heap] {
-            let allocs = fabric_steady_state_allocs(kind, 4, qos);
-            assert_eq!(
-                allocs, 0,
-                "QoS ({label}) steady-state loop allocated {allocs} times \
-                 (scheduler {kind:?})"
-            );
-        }
+        let allocs = fabric_steady_state_allocs(4, qos);
+        assert_eq!(
+            allocs, 0,
+            "QoS ({label}) steady-state loop allocated {allocs} times"
+        );
     }
 }
 
@@ -260,14 +241,11 @@ fn monitored_steady_state_loop_is_allocation_free() {
     // detectors. All detector state (rings, per-channel estimates, the
     // alarm list) is preallocated at `Monitor::new`, so the whole
     // windowed observe loop must not allocate once warm.
-    for kind in [SchedulerKind::Linear, SchedulerKind::Heap] {
-        let allocs = monitored_steady_state_allocs(kind, 4);
-        assert_eq!(
-            allocs, 0,
-            "monitored steady-state loop allocated {allocs} times \
-             (scheduler {kind:?})"
-        );
-    }
+    let allocs = monitored_steady_state_allocs(4);
+    assert_eq!(
+        allocs, 0,
+        "monitored steady-state loop allocated {allocs} times"
+    );
 }
 
 #[test]
@@ -319,12 +297,12 @@ fn fleet_steady_state_allocs(policy: Box<dyn PlacementPolicy>) -> u64 {
     allocs
 }
 
-/// Runs `agents` concurrent [`AllKindsAgent`]s on a box booted from `cfg`
-/// under `kind`: warm-up run (sizes every scratch buffer, materialises
+/// Runs `agents` concurrent [`AllKindsAgent`]s on a box booted from `cfg`:
+/// warm-up run (sizes every scratch buffer, materialises
 /// store-backing HBM frames, fills pressure windows when `cfg` is noisy,
 /// builds the heap), snapshot, measured run. Returns the allocation
 /// count of the measured run.
-fn steady_state_allocs(cfg: SystemConfig, kind: SchedulerKind, agents: usize) -> u64 {
+fn steady_state_allocs(cfg: SystemConfig, agents: usize) -> u64 {
     let mut sys = MultiGpuSystem::new(cfg);
     let p0 = sys.create_process(GpuId::new(0));
     let p1 = sys.create_process(GpuId::new(1));
@@ -339,7 +317,7 @@ fn steady_state_allocs(cfg: SystemConfig, kind: SchedulerKind, agents: usize) ->
         let lines: Vec<VirtAddr> = (0..16).map(|i| buf.offset(i * 4096)).collect();
         plans.push((pid, lines, (a as u64) * 37));
     }
-    measure(sys, kind, plans)
+    measure(sys, plans)
 }
 
 /// As [`steady_state_allocs`], on a fabric-enabled 4-GPU box whose
@@ -348,26 +326,20 @@ fn steady_state_allocs(cfg: SystemConfig, kind: SchedulerKind, agents: usize) ->
 /// (GPU2→GPU0) and PCIe-fallback (GPU3→GPU0) issuers, so every fabric
 /// traversal shape runs under the counting allocator — with the given
 /// QoS / defence configuration layered on top.
-fn fabric_steady_state_allocs(kind: SchedulerKind, agents: usize, qos: QosConfig) -> u64 {
-    fabric_steady_state_allocs_under(kind, agents, qos, FaultPlan::none())
+fn fabric_steady_state_allocs(agents: usize, qos: QosConfig) -> u64 {
+    fabric_steady_state_allocs_under(agents, qos, FaultPlan::none())
 }
 
 /// As [`fabric_steady_state_allocs`] with a fault-injection plan
 /// installed on the fabric.
-fn fabric_steady_state_allocs_under(
-    kind: SchedulerKind,
-    agents: usize,
-    qos: QosConfig,
-    faults: FaultPlan,
-) -> u64 {
-    fabric_steady_state_allocs_traced(kind, agents, qos, faults, false)
+fn fabric_steady_state_allocs_under(agents: usize, qos: QosConfig, faults: FaultPlan) -> u64 {
+    fabric_steady_state_allocs_traced(agents, qos, faults, false)
 }
 
 /// As [`fabric_steady_state_allocs_under`], optionally with the event
 /// tracer on (a deliberately small ring, so the measured window wraps it
 /// many times over).
 fn fabric_steady_state_allocs_traced(
-    kind: SchedulerKind,
     agents: usize,
     qos: QosConfig,
     faults: FaultPlan,
@@ -397,14 +369,14 @@ fn fabric_steady_state_allocs_traced(
         let lines: Vec<VirtAddr> = (0..16).map(|i| buf.offset(i * 4096)).collect();
         plans.push((pid, lines, (a as u64) * 37));
     }
-    measure(sys, kind, plans)
+    measure(sys, plans)
 }
 
 /// The fabric scenario of [`fabric_steady_state_allocs`], but driven
 /// through [`gpubox_sim::run_windowed`] with a [`gpubox_sim::Monitor`]
 /// observing every 1500-cycle window: warm-up past the detector
 /// calibration phase, snapshot, then a 10x longer monitored run.
-fn monitored_steady_state_allocs(kind: SchedulerKind, agents: usize) -> u64 {
+fn monitored_steady_state_allocs(agents: usize) -> u64 {
     let mut cfg = SystemConfig::small_test()
         .noiseless()
         .with_fabric(FabricConfig::nvlink_v1());
@@ -427,7 +399,7 @@ fn monitored_steady_state_allocs(kind: SchedulerKind, agents: usize) -> u64 {
         plans.push((pid, lines, (a as u64) * 37));
     }
     let mut mon = Monitor::new(MonitorConfig::default(), num_links, 4);
-    let mut eng = Engine::with_scheduler(&mut sys, kind);
+    let mut eng = Engine::new(&mut sys);
     for (pid, lines, start) in plans {
         eng.add_agent(
             Box::new(AllKindsAgent {
@@ -452,12 +424,8 @@ fn monitored_steady_state_allocs(kind: SchedulerKind, agents: usize) -> u64 {
 }
 
 /// Warm-up run, snapshot, measured run; returns the measured count.
-fn measure(
-    mut sys: MultiGpuSystem,
-    kind: SchedulerKind,
-    plans: Vec<(ProcessId, Vec<VirtAddr>, u64)>,
-) -> u64 {
-    let mut eng = Engine::with_scheduler(&mut sys, kind);
+fn measure(mut sys: MultiGpuSystem, plans: Vec<(ProcessId, Vec<VirtAddr>, u64)>) -> u64 {
+    let mut eng = Engine::new(&mut sys);
     for (pid, lines, start) in plans {
         eng.add_agent(
             Box::new(AllKindsAgent {

@@ -6,9 +6,8 @@
 //! `cargo run --release --example covert_chat -- "your message" [sets]`
 
 use gpubox_attacks::covert::{bits_from_bytes, bytes_from_bits};
-use gpubox_attacks::{transmit_over, BoundaryPolicy, ChannelParams, Pipeline};
+use gpubox_attacks::{transmit, BoundaryPolicy, ChannelParams, Pipeline};
 use gpubox_bench::AttackSetup;
-use gpubox_sim::SchedulerKind;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -32,13 +31,12 @@ fn main() {
         message
     );
     let medium = setup.medium(&pairs);
-    let report = transmit_over(
+    let report = transmit(
         &mut setup.sys,
         &medium,
         &bits_from_bytes(message.as_bytes()),
         &ChannelParams::default(),
         &Pipeline::vote(BoundaryPolicy::TwoMeans),
-        SchedulerKind::Auto,
     )
     .expect("transmission");
 

@@ -4,18 +4,18 @@
 
 use gpubox_attacks::covert::{bits_from_bytes, bytes_from_bits};
 use gpubox_attacks::{
-    transmit_over, BoundaryPolicy, ChannelMedium, ChannelParams, ChannelReport, Pipeline, SetPair,
+    transmit, BoundaryPolicy, ChannelMedium, ChannelParams, ChannelReport, Pipeline, SetPair,
 };
 use gpubox_bench::report::fnv1a_bits;
 use gpubox_bench::{fabric_dgx1, link_params, AttackSetup, LinkEndpoints};
-use gpubox_sim::{GpuId, MultiGpuSystem, QosConfig, SchedulerKind};
+use gpubox_sim::{GpuId, MultiGpuSystem, QosConfig};
 
 /// One Prime+Probe transmission of `payload` over `medium`, decoded by
 /// the channel's 2-means vote.
 fn send(sys: &mut MultiGpuSystem, medium: &dyn ChannelMedium, payload: &[u8]) -> ChannelReport {
     let params = ChannelParams::default();
     let vote = Pipeline::vote(BoundaryPolicy::TwoMeans);
-    transmit_over(sys, medium, payload, &params, &vote, SchedulerKind::Auto).expect("transmission")
+    transmit(sys, medium, payload, &params, &vote).expect("transmission")
 }
 
 /// [`send`] between an [`AttackSetup`]'s endpoints over `pairs`.
@@ -170,13 +170,12 @@ fn link_fixture_transmission_is_pinned() {
             }
         }
         assert_eq!(fnv1a_bits(&placement), 0x1c0e_d3cb_873b_9a59, "endpoint placement moved");
-        let rep = transmit_over(
+        let rep = transmit(
             &mut sys,
             &ends.medium(4),
             &payload,
             &link_params(),
             &Pipeline::vote(BoundaryPolicy::Quantile),
-            SchedulerKind::Auto,
         )
         .expect("link transmission");
         assert_eq!(
