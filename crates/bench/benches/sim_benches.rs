@@ -414,7 +414,8 @@ fn paired_overhead_ratio(rounds: usize, mut off: impl FnMut(), mut on: impl FnMu
 
 /// Telemetry rung: full tracing on the end-to-end covert channel.
 ///
-/// Two gates run before timing (they hold in CI's `--test` smoke mode):
+/// Two gates run before timing whenever a name filter selects the rung
+/// (they hold in CI's unfiltered `--test` smoke mode):
 ///
 /// - **bit-invisibility** — the traced transmission decodes the exact
 ///   bit stream of the untraced one on an identically seeded fixture
@@ -428,6 +429,9 @@ fn paired_overhead_ratio(rounds: usize, mut off: impl FnMut(), mut on: impl FnMu
 /// The `covert_transmit_e2e_traced` criterion bench then tracks the
 /// traced cost in the trend next to its untraced sibling above.
 fn bench_trace_overhead(c: &mut Criterion) {
+    if !c.selects("covert_transmit_e2e_traced") {
+        return;
+    }
     let payload = gpubox_attacks::covert::bits_from_bytes(b"PR2 rung");
 
     // Bit-invisibility gate.
@@ -839,9 +843,14 @@ fn bench_fleet_step(c: &mut Criterion) {
 /// boundary must stay within the overhead budget of the identical
 /// loop without it.
 /// Asserted before either variant is timed, along with the monitor
-/// being outcome-invisible (same issued-access totals).
+/// being outcome-invisible (same issued-access totals), whenever a name
+/// filter selects the rung.
 fn bench_monitor_overhead(c: &mut Criterion) {
     use gpubox_sim::{run_windowed, Monitor, MonitorConfig, NoiseAgent, NoiseConfig, QosConfig};
+
+    if !c.selects("monitor_windowed_300k") {
+        return;
+    }
 
     const HORIZON: u64 = 300_000;
     let build = || {

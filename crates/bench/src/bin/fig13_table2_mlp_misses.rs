@@ -3,7 +3,7 @@
 //! Trains the MLP victim at hidden widths 64/128/256/512 while the spy
 //! monitors 1024 cache sets; the average misses per set grows monotonically
 //! with width (paper: 5653 / 6846 / 8744 / 10197), separating the
-//! configurations.
+//! configurations. Exits 1 unless the misses are monotone in width.
 
 use gpubox_attacks::side::{record_memorygram, summarize_mlp_gram, RecorderConfig};
 use gpubox_bench::{report, setup::victim_with_duration, SideChannelSetup};
@@ -85,4 +85,8 @@ fn main() {
         .all(|w| w[1].avg_misses_per_set > w[0].avg_misses_per_set);
     println!("\nshape check: misses monotone in hidden width = {monotone} (paper: yes)");
     report::write_json("table2_mlp_misses", &rows);
+    if !monotone {
+        eprintln!("GATE FAILED: average misses per set are not monotone in hidden width");
+        std::process::exit(1);
+    }
 }

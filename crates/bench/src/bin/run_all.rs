@@ -147,7 +147,9 @@ fn main() {
     if full {
         bins.insert(6, "fig12_confusion_matrix");
     } else {
-        eprintln!("(skipping fig12_confusion_matrix — pass --full to include it)");
+        eprintln!(
+            "(skipping fig12_confusion_matrix, ~50 s wall on 2 vCPUs — pass --full to include it)"
+        );
     }
     let exe = std::env::current_exe().expect("own path");
     let dir = exe.parent().expect("bin dir");

@@ -598,21 +598,15 @@ impl SideChannelSetup {
     }
 }
 
-/// Estimates how long (in cycles) a victim trace will occupy the GPU, so
-/// recorders know how long to watch: one counting pass over its ops.
-pub fn estimate_trace_cycles(trace: &gpubox_workloads::Trace) -> u64 {
-    use gpubox_workloads::TraceOp;
-    trace
-        .ops()
-        .map(|op| match op {
-            TraceOp::Load(_) | TraceOp::Store(..) => 360, // mixed hit/miss estimate
-            TraceOp::Compute(c) => c,
-        })
-        .sum()
-}
+/// The most any capture watches, in cycles, whatever the victim: about
+/// 2.9x the longest one (QR at the default sizes). Captures end on the
+/// spy's own observation ([`gpubox_attacks::side::IDLE_END_CYCLES`]
+/// after the victim goes quiet); the budget only bounds a victim that
+/// never does.
+pub const CAPTURE_BUDGET_CYCLES: u64 = 1 << 29;
 
-/// Builds a victim's replay agent plus a watch-duration estimate (with a
-/// 30% margin) for the memorygram recorder.
+/// Builds a victim's replay agent plus the recorder's watch budget,
+/// [`CAPTURE_BUDGET_CYCLES`] for every victim.
 ///
 /// # Panics
 ///
@@ -626,8 +620,10 @@ pub fn victim_with_duration(
         let mut ctx = ProcessCtx::new(sys, pid, 0);
         workload.build(&mut ctx).expect("victim trace build")
     };
-    let estimate = estimate_trace_cycles(&trace) * 13 / 10;
-    (gpubox_workloads::TraceAgent::new(pid, &trace), estimate)
+    (
+        gpubox_workloads::TraceAgent::new(pid, &trace),
+        CAPTURE_BUDGET_CYCLES,
+    )
 }
 
 #[cfg(test)]

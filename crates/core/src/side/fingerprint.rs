@@ -46,7 +46,10 @@ fn resample(v: &[f64], out: usize) -> Vec<f32> {
 /// - the temporal activity profile relative to its own mean (epoch
 ///   bands, bursts), resampled to a fixed width;
 /// - scalar aggregates: overall activity level, active-set fraction,
-///   temporal variance, and capture length.
+///   temporal variance, and capture length. The spy ends a capture one
+///   idle window after the last sweep with a miss, so the length is a
+///   span it observed (the victim's activity plus that window), not one
+///   read from the victim.
 fn invariant_features(g: &Memorygram) -> Vec<f32> {
     let sweeps = g.num_sweeps().max(1) as f64;
     let mut per_set: Vec<f64> = g

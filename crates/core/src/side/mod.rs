@@ -16,4 +16,4 @@ mod recorder;
 
 pub use fingerprint::{gram_features, FingerprintDataset, FingerprintReport};
 pub use mlp_extract::{detect_epochs, summarize_mlp_gram, MlpGramStats};
-pub use recorder::{record_memorygram, RecorderConfig};
+pub use recorder::{record_memorygram, RecorderConfig, IDLE_END_CYCLES};

@@ -1,9 +1,8 @@
 //! Memory-access traces and their replay agent.
 //!
 //! A [`Trace`] is never materialised. It holds a factory that starts a
-//! fresh generator of the workload's ops, so one trace can be counted
-//! (for a watch-duration estimate) and then replayed, each pass
-//! producing the same ops.
+//! fresh generator of the workload's ops, so one trace can be walked
+//! any number of times, each pass producing the same ops.
 
 use gpubox_sim::{
     Agent, MultiGpuSystem, Op, OpResult, ProbeStage, ProcessCtx, ProcessId, SimResult, VirtAddr,
